@@ -54,6 +54,7 @@ from .pipeline import (
 from .rng import generator, mix_seed
 from .solvers import (
     APParams,
+    Diverged,
     LeastSquaresOperator,
     NonProgress,
     RankDeficient,

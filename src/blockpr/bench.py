@@ -196,6 +196,8 @@ class TrialRecord:
     speedup: float | None = None
     converged_blocks: tuple[bool, ...] = ()
     converged_tuning: bool = True
+    block_stop_reasons: tuple[str, ...] = ()
+    tuning_stop_reason: str = "tol"
 
 
 def run_trial(cfg: ExperimentConfig, trial_seed: int,
@@ -244,6 +246,8 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int,
         speedup=speedup,
         converged_blocks=tuple(r.converged for r in out.per_block_reports),
         converged_tuning=out.tuning_report.converged,
+        block_stop_reasons=tuple(r.stop_reason for r in out.per_block_reports),
+        tuning_stop_reason=out.tuning_report.stop_reason,
     )
 
 

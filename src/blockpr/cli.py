@@ -26,11 +26,11 @@ from pathlib import Path
 import numpy as np
 
 from . import io as bprio
-from .bench import ExperimentConfig, emit_report, gen_instance, sweep
+from .bench import _LANE_TRIAL, ExperimentConfig, emit_report, gen_instance, sweep
 from .core import BlockPRInstance, PRInstance
 from .pipeline import BlockSolveError, block_pr_solve
 from .rng import mix_seed
-from .solvers import APParams, NonProgress, RankDeficient, SolverSpec, WFParams
+from .solvers import APParams, Diverged, NonProgress, RankDeficient, SolverSpec, WFParams
 
 EXIT_OK = 0
 EXIT_SOLVER = 1
@@ -141,7 +141,7 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
 def _cmd_gen(args, cfg: ExperimentConfig) -> int:
     if cfg.output_path is None:
         raise ValueError("gen requires --out DIRECTORY")
-    instance, x = gen_instance(cfg, mix_seed(cfg.seed, 2, 0))
+    instance, x = gen_instance(cfg, mix_seed(cfg.seed, _LANE_TRIAL, 0))
     out = Path(cfg.output_path)
     out.mkdir(parents=True, exist_ok=True)
     bprio.save_bpr1(out / "h.bpr1", instance.base.operator)
@@ -192,6 +192,8 @@ def _cmd_solve(args, cfg_solver, tune_solver, parallelism) -> int:
         "block_residuals": [r.final_residual for r in out.per_block_reports],
         "converged_blocks": [r.converged for r in out.per_block_reports],
         "tuning_converged": out.tuning_report.converged,
+        "block_stop_reasons": [r.stop_reason for r in out.per_block_reports],
+        "tuning_stop_reason": out.tuning_report.stop_reason,
     }
     if x is not None:
         from .forward import nmse
@@ -286,7 +288,7 @@ def main(argv=None) -> int:
             table = sweep(cfg, n_list=args.n_list, compare_monolithic=True)
             return _emit(args, cfg, table)
         raise AssertionError(f"unhandled command {args.command}")
-    except (BlockSolveError, NonProgress, RankDeficient) as exc:
+    except (BlockSolveError, Diverged, NonProgress, RankDeficient) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except OSError as exc:

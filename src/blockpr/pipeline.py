@@ -219,8 +219,8 @@ def block_pr_solve(
     min(K, cpu count)); it affects wall time only, never the result. With
     K = 1 the tuning step is vacuous and is skipped (d = [1]), making the
     pipeline bitwise identical to the base solver on the dense problem.
-    ``tune_spec`` defaults to the unit-modulus tuner with 50 restarts and
-    a seed derived from the block spec's master seed.
+    ``tune_spec`` defaults to the unit-modulus tuner with at most 50
+    restarts and a seed derived from the block spec's master seed.
     """
     part = instance.partition
     k = part.n_blocks
@@ -239,7 +239,7 @@ def block_pr_solve(
 
     if k == 1:
         d_hat = np.ones(1, dtype=np.complex128)
-        tuning_report = SolverReport(0, 0.0, 0, 0.0, True)
+        tuning_report = SolverReport(0, 0.0, 0, 0.0, True, "tol")
         t2 = time.perf_counter()
         x_hat = estimates[0].copy()
     else:

@@ -33,6 +33,8 @@ def test_gen_then_solve_round_trip(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["k"] == 2
     assert report["nmse"] is not None and report["nmse"] <= 1e-6
+    assert report["block_stop_reasons"] == ["tol", "tol"]
+    assert report["tuning_stop_reason"] in ("tol", "stall", "max_iters")
     assert (tmp_path / "xhat.bpr1").exists()
     xh = load_bpr1(tmp_path / "xhat.bpr1")
     assert len(xh) == 16
@@ -105,3 +107,18 @@ def test_failed_sweep_point_exit_code(capsys):
     code = run_cli(["sweep-k", "--k-list", "5", "--n", "32", "--snr", "inf",
                     "--trials", "1", "--format", "json"])
     assert code == 1
+
+
+def test_diverged_solve_exit_code(tmp_path, capsys, monkeypatch):
+    import blockpr.cli
+    from blockpr.solvers import Diverged
+
+    out = tmp_path / "inst"
+    assert run_cli(["gen", "--n", "16", "--k", "2", "--seed", "5", "--out", str(out)]) == 0
+
+    def diverging(*args, **kwargs):
+        raise Diverged("residual became nan after 3 iterations")
+
+    monkeypatch.setattr(blockpr.cli, "block_pr_solve", diverging)
+    assert run_cli(["solve", str(out)]) == 1
+    assert "solver failure: residual became nan" in capsys.readouterr().err

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from blockpr import solvers
 from blockpr.core import PRInstance, make_krbd
-from blockpr.forward import measure, residual
+from blockpr.forward import NoiseSpec, add_noise_intensity, measure, residual
 from blockpr.rng import complex_normal, generator, mix_seed
 from blockpr.solvers import (
     APParams,
+    Diverged,
     NonProgress,
     RankDeficient,
     SolverSpec,
@@ -34,13 +36,32 @@ def correlation(u, v):
 
 # ---------------------------------------------------------------- spectral init
 
-def test_spectral_init_correlation_monte_carlo():
+def noisy_instance(seed, n, m, snr_db=30.0):
+    rng = generator(seed)
+    h = complex_normal(rng, (m, n))
+    x = complex_normal(rng, n)
+    b = add_noise_intensity(measure(h, x, "intensity"), NoiseSpec(snr_db, mix_seed(seed, 1)))
+    return PRInstance(h, b, "intensity", snr_db), x
+
+
+def test_spectral_init_correlation_monte_carlo(monkeypatch):
+    # one matvec per power iteration; the iteration stops once the iterate
+    # stops moving, typically long before the init_power_iters cap
+    matvec = solvers._LinOp.matvec
+    calls = []
+    monkeypatch.setattr(solvers._LinOp, "matvec",
+                        lambda self, z: calls.append(1) or matvec(self, z))
     hits = 0
+    power_iters = []
     for t in range(100):
         inst, x = gaussian_instance(mix_seed(800, t), 64, 384)
+        calls.clear()
         z0 = spectral_init(inst.operator, inst.measurements, WFParams(), seed=t)
+        power_iters.append(len(calls))
         hits += correlation(z0, x) >= 0.5
     assert hits >= 95
+    assert max(power_iters) <= WFParams().init_power_iters
+    assert np.median(power_iters) < WFParams().init_power_iters / 2
 
 
 def test_spectral_init_zero_measurements():
@@ -93,6 +114,42 @@ def test_wf_zero_measurements_rejected():
     inst = PRInstance(np.eye(4, dtype=complex), np.zeros(4), "intensity")
     with pytest.raises(ValueError):
         wf_solve(inst)
+
+
+def test_wf_noisy_run_stops_on_stall():
+    # at SNR 30 the residual plateaus far above tol
+    inst, x = noisy_instance(5, 64, 384)
+    z, rep = wf_solve(inst, seed=1)
+    assert rep.stop_reason == "stall"
+    assert rep.iterations < WFParams().max_iters
+    assert not rep.converged
+    from blockpr.forward import nmse
+
+    assert nmse(x, z) <= 2e-3
+
+
+def test_wf_stall_window_zero_runs_to_max_iters():
+    inst, _ = noisy_instance(5, 64, 384)
+    _, rep = wf_solve(inst, WFParams(stall_window=0), seed=1)
+    assert rep.iterations == 400
+    assert rep.stop_reason == "max_iters"
+    assert len(rep.residuals) == 401
+
+
+def test_wf_noiseless_runs_stop_on_tol():
+    # linear convergence is never mistaken for a stall
+    for t in range(20):
+        inst, _ = gaussian_instance(mix_seed(900, t), 32, 192)
+        _, rep = wf_solve(inst, seed=mix_seed(901, t))
+        assert rep.stop_reason == "tol" and rep.converged
+
+
+def test_wf_diverging_step_raises_diverged():
+    # step_size=3 blows the iterate up to inf; this must not read as a stall,
+    # an empty truncation set or a finished run
+    inst, _ = gaussian_instance(4, 256, 1536)
+    with np.errstate(all="ignore"), pytest.raises(Diverged):
+        wf_solve(inst, WFParams(step_size=3.0), seed=0)
 
 
 def test_wf_non_progress():
@@ -238,6 +295,13 @@ def test_altproj_residuals_non_increasing():
         assert np.all(diffs <= 1e-12)
 
 
+def test_altproj_non_finite_residual_raises_diverged():
+    # a finite start whose image overflows gives a NaN residual
+    inst, _ = gaussian_instance(3, 8, 48, kind="magnitude")
+    with np.errstate(all="ignore"), pytest.raises(Diverged):
+        altproj_solve(inst, z0=np.full(8, 1e308, dtype=complex))
+
+
 def test_altproj_requires_magnitude():
     inst, _ = gaussian_instance(21, 8, 48, kind="intensity")
     with pytest.raises(ValueError):
@@ -290,6 +354,31 @@ def test_tuner_zero_measurements_degenerate():
     assert not rep.converged
 
 
+def test_tuner_noisy_problem_stops_early():
+    # restarts on noisy tuning data land on the same residual floor, so the
+    # loop ends long before the 50-restart cap; the phases are still found
+    rng = generator(34)
+    k, n_i = 4, 16
+    x = complex_normal(rng, k * n_i)
+    a = complex_normal(rng, (20 * k, k * n_i))
+    phases = rng.uniform(0, 2 * np.pi, k)
+    b_mat = np.stack([a[:, i * n_i:(i + 1) * n_i] @ (x[i * n_i:(i + 1) * n_i] * np.exp(1j * p))
+                      for i, p in enumerate(phases)], axis=1)
+    y = np.sqrt(add_noise_intensity(np.abs(a @ x) ** 2, NoiseSpec(30.0, 35)))
+    d, rep = unit_modulus_tune(b_mat, y, seed=3)
+    assert rep.restarts_used < 50
+    assert rep.stop_reason == "stall"
+    rel = d * np.conj(d[0])
+    assert np.max(np.abs(rel - np.exp(-1j * (phases - phases[0])))) <= 0.1
+
+
+def test_tuner_non_finite_matrix_raises_diverged():
+    b_mat = complex_normal(generator(36), (20, 3))
+    b_mat[2, 1] = np.nan  # a block estimate gone non-finite
+    with np.errstate(all="ignore"), pytest.raises(Diverged):
+        unit_modulus_tune(b_mat, np.ones(20), seed=0)
+
+
 def test_tuner_output_modulus_exactly_one():
     rng = generator(33)
     b_mat = complex_normal(rng, (40, 4))
@@ -323,6 +412,8 @@ def test_solver_spec_validation():
         WFParams(loss="huber")
     with pytest.raises(ValueError):
         APParams(init="warm")
+    with pytest.raises(ValueError):
+        WFParams(stall_window=-1)
 
 
 def test_altproj_and_tuner_deterministic():
@@ -347,3 +438,4 @@ def test_report_residual_semantics():
     )
     assert rep.wall_time_seconds >= 0
     assert rep.restarts_used >= 1
+    assert rep.stop_reason in ("tol", "stall", "max_iters")
