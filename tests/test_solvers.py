@@ -5,7 +5,7 @@ import pytest
 
 from blockpr import solvers
 from blockpr.core import PRInstance, make_krbd
-from blockpr.forward import NoiseSpec, add_noise_intensity, measure, residual
+from blockpr.forward import NoiseSpec, add_noise_intensity, measure, nmse, residual
 from blockpr.rng import complex_normal, generator, mix_seed
 from blockpr.solvers import (
     APParams,
@@ -30,12 +30,6 @@ def gaussian_instance(seed, n, m, kind="intensity"):
     return PRInstance(h, measure(h, x, kind), kind), x
 
 
-def correlation(u, v):
-    return abs(np.vdot(u, v)) / (np.linalg.norm(u) * np.linalg.norm(v))
-
-
-# ---------------------------------------------------------------- spectral init
-
 def noisy_instance(seed, n, m, snr_db=30.0):
     rng = generator(seed)
     h = complex_normal(rng, (m, n))
@@ -43,6 +37,12 @@ def noisy_instance(seed, n, m, snr_db=30.0):
     b = add_noise_intensity(measure(h, x, "intensity"), NoiseSpec(snr_db, mix_seed(seed, 1)))
     return PRInstance(h, b, "intensity", snr_db), x
 
+
+def correlation(u, v):
+    return abs(np.vdot(u, v)) / (np.linalg.norm(u) * np.linalg.norm(v))
+
+
+# ---------------------------------------------------------------- spectral init
 
 def test_spectral_init_correlation_monte_carlo(monkeypatch):
     # one matvec per power iteration; the iteration stops once the iterate
@@ -123,8 +123,6 @@ def test_wf_noisy_run_stops_on_stall():
     assert rep.stop_reason == "stall"
     assert rep.iterations < WFParams().max_iters
     assert not rep.converged
-    from blockpr.forward import nmse
-
     assert nmse(x, z) <= 2e-3
 
 
