@@ -19,9 +19,10 @@ restart that reaches the tolerance stops the restart loop early. Residuals
 are the relative magnitude misfit of :func:`blockpr.forward.residual`.
 
 All three share one stop policy (:func:`_stop_reason`): a run ends when its
-residual reaches ``tol``, when it stalls (moved by less than ``stall_rtol``,
-relative, over the last ``stall_window`` iterations; on noisy data ``tol``
-is out of reach and the plateau is the answer), or at ``max_iters``, and
+residual reaches ``tol``, when it stalls (moved by less than 1e-3, relative,
+over the last 50 iterations; on noisy data ``tol`` is out of reach and the
+plateau is the answer; :class:`APParams` sets both for AP and the tuner),
+or at ``max_iters``, and
 :class:`SolverReport.stop_reason` says which. A non-finite residual raises
 :class:`Diverged`. The spectral start ends its power iteration once the unit
 iterate stops moving, and the phase tuner ends its restart loop once a
@@ -62,6 +63,10 @@ __all__ = [
 SolverKind = Literal["wf_truncated", "alt_proj", "unit_modulus_tuner"]
 StopReason = Literal["tol", "stall", "max_iters"]
 
+# wf_solve's stall stop: the residual moved by less than _WF_STALL_RTOL,
+# relative, over the last _WF_STALL_WINDOW iterations (APParams' defaults)
+_WF_STALL_WINDOW = 50
+_WF_STALL_RTOL = 1e-3
 # the spectral start's power iteration ends once ||v_k - v_{k-1}|| <= this
 # (unit iterates); init_power_iters stays the cap
 _SPECTRAL_STEP_TOL = 1e-3
@@ -96,10 +101,6 @@ class WFParams:
     when i.i.d. Gaussian noise sits on the intensities and reaches a
     noticeably lower error floor there. The gaussian weighting has a
     stiffer effective curvature; use step_size <= 0.15 with it.
-
-    ``stall_window`` and ``stall_rtol`` set the stall stop shared with
-    :class:`APParams` (see the module docstring); ``stall_window = 0``
-    disables it, so noisy runs go on to ``max_iters``.
     """
 
     max_iters: int = 400
@@ -113,8 +114,6 @@ class WFParams:
     trunc_h: float = 5.0
     tol: float = 1e-8
     loss: Literal["poisson", "gaussian"] = "poisson"
-    stall_window: int = 50
-    stall_rtol: float = 1e-3
 
     def __post_init__(self):
         for name in ("max_iters", "step_size", "init_power_iters", "trunc_y",
@@ -125,16 +124,14 @@ class WFParams:
             raise ValueError("trunc_lb must be < trunc_ub")
         if self.loss not in ("poisson", "gaussian"):
             raise ValueError(f"unknown loss {self.loss!r}")
-        if self.stall_window < 0 or self.stall_rtol < 0:
-            raise ValueError("stall parameters must be nonnegative")
 
 
 @dataclass(frozen=True)
 class APParams:
     """Alternating-projections parameters.
 
-    The stop fields mean what they mean in :class:`WFParams`;
-    ``stall_window = 0`` disables the stall stop.
+    ``stall_window`` and ``stall_rtol`` set the stall stop of the shared
+    stop policy (module docstring); ``stall_window = 0`` disables it.
     """
 
     max_iters: int = 600
@@ -278,11 +275,6 @@ def spectral_init(op: Operator | _LinOp, b: np.ndarray, params: WFParams,
     return scale * v
 
 
-def _norm(x: np.ndarray) -> float:
-    """2-norm of a real vector, as np.linalg.norm computes it, minus its call overhead."""
-    return math.sqrt(x.dot(x))
-
-
 class _Run(NamedTuple):
     """Outcome of one restart."""
 
@@ -293,26 +285,26 @@ class _Run(NamedTuple):
     reason: StopReason
 
 
-def _stop_reason(trace: list[float], iterations: int,
-                 params: WFParams | APParams) -> StopReason | None:
+def _stop_reason(trace: list[float], iterations: int, tol: float, max_iters: int,
+                 stall_window: int, stall_rtol: float) -> StopReason | None:
     """The stop policy every solver run shares; None means iterate again.
 
     ``trace`` holds the residuals so far, ``iterations`` the updates made.
-    Stops on "tol" once the last residual reaches ``params.tol``, on
-    "stall" once it differs by less than ``stall_rtol`` (relative) from the
-    residual ``stall_window`` entries earlier, and on "max_iters" at the
-    cap. A residual that keeps growing is not a stall. Raises
-    :class:`Diverged` on a non-finite residual.
+    Stops on "tol" once the last residual reaches ``tol``, on "stall" once
+    it differs by less than ``stall_rtol`` (relative) from the residual
+    ``stall_window`` entries earlier (``stall_window = 0`` never stalls),
+    and on "max_iters" at the cap. A residual that keeps growing is not a
+    stall. Raises :class:`Diverged` on a non-finite residual.
     """
     resid = trace[-1]
     if not math.isfinite(resid):
         raise Diverged(f"residual became {resid} after {iterations} iterations")
-    if resid <= params.tol:
+    if resid <= tol:
         return "tol"
-    w = params.stall_window
-    if w and len(trace) > w and abs(trace[-1 - w] - resid) < params.stall_rtol * trace[-1 - w]:
+    w = stall_window
+    if w and len(trace) > w and abs(trace[-1 - w] - resid) < stall_rtol * trace[-1 - w]:
         return "stall"
-    if iterations >= params.max_iters:
+    if iterations >= max_iters:
         return "max_iters"
     return None
 
@@ -385,6 +377,7 @@ def wf_solve(
     norm_a = float(np.linalg.norm(a))
     if norm_a == 0:
         raise ValueError("zero measurement vector")
+    mu = params.step_size
     mean_b = float(np.mean(b))
 
     if z0 is not None:
@@ -393,33 +386,30 @@ def wf_solve(
             raise ValueError(f"z0 has length {len(z0)}, expected {n}")
         restarts = 1
 
-    root_n_over_norms = math.sqrt(n) / lin.row_norms
-    step = 2.0 * params.step_size / m  # the gradient's factor 2, exact in binary
-
     def run(r: int) -> _Run:
         if z0 is not None:
             z = z0.copy()
         else:
             z = spectral_init(lin, b, params, mix_seed(seed, r))
         v = lin.matvec(z)
-        absv = np.abs(v)
-        resid = _norm(absv - a) / norm_a
+        resid = float(np.linalg.norm(np.abs(v) - a)) / norm_a
         trace = [resid]
         iterations = 0
         empty_streak = 0
-        while (reason := _stop_reason(trace, iterations, params)) is None:
+        while (reason := _stop_reason(trace, iterations, params.tol, params.max_iters,
+                                      _WF_STALL_WINDOW, _WF_STALL_RTOL)) is None:
+            absv = np.abs(v)
             absv2 = absv * absv
-            diff = absv2 - b
-            dev = np.abs(diff)
-            znorm = math.sqrt(np.vdot(z, z).real)
+            znorm = float(np.linalg.norm(z))
             if znorm == 0:
                 ratio = np.zeros(m)
             else:
-                ratio = absv * (root_n_over_norms / znorm)
+                ratio = math.sqrt(n) * absv / (lin.row_norms * znorm)
+            dev = np.abs(b - absv2)
             keep = (
                 (ratio >= params.trunc_lb)
                 & (ratio <= params.trunc_ub)
-                & (dev <= (params.trunc_h / m) * float(dev.sum()) * ratio)
+                & (dev <= (params.trunc_h / m) * float(np.sum(dev)) * ratio)
             )
             iterations += 1
             if not keep.any():
@@ -433,13 +423,12 @@ def wf_solve(
             empty_streak = 0
             coeff = np.zeros(m)
             if params.loss == "poisson":
-                np.divide(diff, absv2, out=coeff, where=keep)
+                np.divide(2.0 * (absv2 - b), absv2, out=coeff, where=keep)
             else:
-                np.multiply(diff, keep / mean_b, out=coeff)
-            z = z - step * lin.rmatvec(coeff * v)
+                np.multiply(2.0 * (absv2 - b), keep / mean_b, out=coeff)
+            z = z - (mu / m) * lin.rmatvec(coeff * v)
             v = lin.matvec(z)
-            absv = np.abs(v)
-            resid = _norm(absv - a) / norm_a
+            resid = float(np.linalg.norm(np.abs(v) - a)) / norm_a
             trace.append(resid)
         return _Run(z, resid, iterations, trace, reason)
 
@@ -507,8 +496,9 @@ def _project_run(mat: np.ndarray, lsq: LeastSquaresOperator, target: np.ndarray,
         if project is not None:
             x = project(x)
         mx = mat @ x
-        trace.append(_norm(np.abs(mx) - target) / norm_target)
-        reason = _stop_reason(trace, len(trace), params)
+        trace.append(float(np.linalg.norm(np.abs(mx) - target)) / norm_target)
+        reason = _stop_reason(trace, len(trace), params.tol, params.max_iters,
+                              params.stall_window, params.stall_rtol)
     return _Run(x, trace[-1], len(trace), trace, reason)
 
 

@@ -15,7 +15,7 @@ from blockpr.bench import (
     sweep,
 )
 from blockpr.forward import measure
-from blockpr.solvers import SolverSpec
+from blockpr.solvers import SolverSpec, WFParams
 
 
 def test_gen_instance_shapes():
@@ -147,18 +147,19 @@ def small_cfg(**kw):
 
 
 def test_sweep_n_monotone_cost():
-    # noisy runs stop on a stall after a similar number of iterations at
-    # every N, so cost tracks the per-iteration cost, which grows with N.
-    # A point takes only tens of milliseconds, so one scheduler hiccup can
-    # swap two neighbours: each point's cost is its least of three sweeps.
-    cfg = small_cfg(snr_db=30.0, trials=2)
-    sweep(cfg, n_list=[64])  # untimed warm-up
-    tables = [sweep(cfg, n_list=[64, 128, 256]) for _ in range(3)]
-    for table in tables:
-        assert len(table.rows) == 3
-        assert all(r.error is None for r in table.rows)
-    totals = [min(t.rows[i].total_s for t in tables) for i in range(3)]
+    # 40 iterations lie below the 50-iteration stall window and noisy runs
+    # never reach tol, so every restart runs exactly 40 iterations and cost
+    # grows with N by construction; 20 restarts give each block 800
+    # iterations, enough work that a short scheduler hiccup rarely swaps
+    # two neighbouring points
+    cfg = small_cfg(snr_db=30.0, trials=2,
+                    solver=SolverSpec("wf_truncated", WFParams(max_iters=40), restarts=20))
+    sweep(cfg, n_list=[64, 128, 256])  # untimed warm-up
+    table = sweep(cfg, n_list=[64, 128, 256])
+    assert len(table.rows) == 3
+    totals = [r.total_s for r in table.rows]
     assert totals[0] < totals[1] < totals[2]
+    assert all(r.error is None for r in table.rows)
 
 
 def test_sweep_n_noiseless_accuracy():

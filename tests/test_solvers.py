@@ -126,14 +126,6 @@ def test_wf_noisy_run_stops_on_stall():
     assert nmse(x, z) <= 2e-3
 
 
-def test_wf_stall_window_zero_runs_to_max_iters():
-    inst, _ = noisy_instance(5, 64, 384)
-    _, rep = wf_solve(inst, WFParams(stall_window=0), seed=1)
-    assert rep.iterations == 400
-    assert rep.stop_reason == "max_iters"
-    assert len(rep.residuals) == 401
-
-
 def test_wf_noiseless_runs_stop_on_tol():
     # linear convergence is never mistaken for a stall
     for t in range(20):
@@ -410,8 +402,6 @@ def test_solver_spec_validation():
         WFParams(loss="huber")
     with pytest.raises(ValueError):
         APParams(init="warm")
-    with pytest.raises(ValueError):
-        WFParams(stall_window=-1)
 
 
 def test_altproj_and_tuner_deterministic():
