@@ -39,7 +39,7 @@ from .forward import (
     nmse,
     residual,
 )
-from .io import load_bpr1, load_csv, save_bpr1, save_csv
+from .io import BPR1Error, load_bpr1, load_csv, save_bpr1, save_csv
 from .pipeline import (
     BlockSolveError,
     BlockSolveOutput,

@@ -9,9 +9,13 @@ Subcommands:
 * ``table1``   auto-K speedup table (block pipeline vs densified baseline)
 
 Flags mirror the ExperimentConfig fields; ``--config FILE`` loads a JSON
-config with the same field names, and explicit flags override it.
+config with the same field names, and explicit flags override it. ``solve``
+reads the problem from the instance directory and takes only the solver
+flags (``--seed``, ``--solver``, ``--tune-solver``, ``--restarts``,
+``--parallelism``, ``--out``); any other flag is an error.
 
-Exit codes: 0 success, 1 solver failure, 2 invalid config, 3 I/O error.
+Exit codes: 0 success, 1 solver failure, 2 invalid config or flag, 3 I/O error
+or malformed BPR1 file.
 """
 
 from __future__ import annotations
@@ -73,7 +77,24 @@ def _int_list(s: str) -> list[int]:
     return [int(tok) for tok in s.replace(",", " ").split()]
 
 
+def _positive_int(s: str) -> int:
+    value = int(s)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _add_solver_flags(p: argparse.ArgumentParser):
+    p.add_argument("--seed", type=int, help="master seed")
+    p.add_argument("--solver", help="base solver: wf|altproj")
+    p.add_argument("--tune-solver", dest="tune_solver", help="tuning solver: tuner|altproj")
+    p.add_argument("--restarts", type=int, help="base solver restarts")
+    p.add_argument("--parallelism", type=_positive_int, help="max concurrent block solves")
+    p.add_argument("--out", help="output path")
+
+
 def _add_config_flags(p: argparse.ArgumentParser):
+    _add_solver_flags(p)
     p.add_argument("--config", help="JSON config file; flags override its values")
     p.add_argument("--n", type=int, help="signal length N")
     p.add_argument("--k", help="number of blocks, or 'auto'")
@@ -81,17 +102,11 @@ def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--beta", type=float, help="tuning rows per block, L = beta*K (default 20)")
     p.add_argument("--snr", help="intensity SNR in dB, or 'inf' (default 30)")
     p.add_argument("--trials", type=int, help="trials per point")
-    p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--solver", help="base solver: wf|altproj")
-    p.add_argument("--tune-solver", dest="tune_solver", help="tuning solver: tuner|altproj")
-    p.add_argument("--restarts", type=int, help="base solver restarts")
     p.add_argument("--matrix-kind", dest="matrix_kind", choices=["gaussian", "binary01"])
-    p.add_argument("--parallelism", type=int, help="max concurrent block solves")
     p.add_argument("--noisy-tuning", dest="noisy_tuning", action="store_true", default=None)
     p.add_argument("--clean-tuning", dest="noisy_tuning", action="store_false")
     p.add_argument("--baseline-include-tuning-rows", dest="baseline_include_tuning_rows",
                    action="store_true", default=None)
-    p.add_argument("--out", help="output path")
     p.add_argument("--format", choices=["csv", "json"], default=None)
 
 
@@ -231,9 +246,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="generate an instance in BPR1 format")
     _add_config_flags(p_gen)
 
+    # the instance directory fixes the problem, so solve takes no experiment flags
     p_solve = sub.add_parser("solve", help="solve a generated instance")
     p_solve.add_argument("instance", help="instance directory written by gen")
-    _add_config_flags(p_solve)
+    _add_solver_flags(p_solve)
 
     p_sn = sub.add_parser("sweep-n", help="sweep over signal sizes")
     p_sn.add_argument("--n-list", required=True, type=_int_list)
@@ -291,7 +307,7 @@ def main(argv=None) -> int:
     except (BlockSolveError, Diverged, NonProgress, RankDeficient) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except OSError as exc:
+    except (OSError, bprio.BPR1Error) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -4,7 +4,8 @@ BPR1 layout: magic bytes ``BPR1``, u32 little-endian rows, u32 cols, u8
 kind flag (0 = vector, 1 = dense, 2 = krbd). A krbd payload continues with
 u32 K and K per-block (u32 rows, u32 cols) headers. Entries follow as
 float64 little-endian interleaved (re, im) pairs, row-major, blocks in
-order for krbd.
+order for krbd, and end the file. A malformed file, or an array whose
+dimensions do not fit a u32, raises :class:`BPR1Error`.
 
 The CSV form writes entries as ``a+bi`` text, one matrix row per line
 (vectors: one entry per line). It exists for eyeballing small problems;
@@ -13,6 +14,7 @@ BPR1 is the canonical format.
 
 from __future__ import annotations
 
+import math
 import re
 import struct
 from pathlib import Path
@@ -22,7 +24,7 @@ import numpy as np
 
 from .core import BlockPartition, KRBDMatrix, as_complex_vector, as_dense_matrix
 
-__all__ = ["load_bpr1", "load_csv", "save_bpr1", "save_csv"]
+__all__ = ["BPR1Error", "load_bpr1", "load_csv", "save_bpr1", "save_csv"]
 
 _MAGIC = b"BPR1"
 _KIND_VECTOR = 0
@@ -30,6 +32,16 @@ _KIND_DENSE = 1
 _KIND_KRBD = 2
 
 Saveable = Union[np.ndarray, KRBDMatrix]
+
+
+class BPR1Error(ValueError):
+    """A file is not valid BPR1, or an array does not fit the format."""
+
+
+def _u32(*values: int) -> bytes:
+    if any(not 0 <= v < 2**32 for v in values):
+        raise BPR1Error(f"dimensions {values} do not fit BPR1's u32 header fields")
+    return struct.pack(f"<{len(values)}I", *values)
 
 
 def _entry_bytes(a: np.ndarray) -> bytes:
@@ -41,28 +53,30 @@ def save_bpr1(path: str | Path, obj: Saveable) -> None:
     """Write a vector, dense matrix, or KRBD matrix in BPR1 format."""
     path = Path(path)
     if isinstance(obj, KRBDMatrix):
-        rows, cols = obj.shape
-        head = [_MAGIC, struct.pack("<IIB", rows, cols, _KIND_KRBD)]
-        head.append(struct.pack("<I", obj.n_blocks))
-        for b in obj.blocks:
-            head.append(struct.pack("<II", b.shape[0], b.shape[1]))
+        head = [_MAGIC, _u32(*obj.shape), bytes([_KIND_KRBD]), _u32(obj.n_blocks)]
+        head += [_u32(*b.shape) for b in obj.blocks]
         payload = b"".join(head) + b"".join(_entry_bytes(b) for b in obj.blocks)
     else:
         a = np.asarray(obj, dtype=np.complex128)
         if a.ndim == 1:
-            head = _MAGIC + struct.pack("<IIB", len(a), 1, _KIND_VECTOR)
+            head = _MAGIC + _u32(len(a), 1) + bytes([_KIND_VECTOR])
         elif a.ndim == 2:
-            head = _MAGIC + struct.pack("<IIB", a.shape[0], a.shape[1], _KIND_DENSE)
+            head = _MAGIC + _u32(*a.shape) + bytes([_KIND_DENSE])
         else:
-            raise ValueError(f"cannot save array of shape {a.shape}")
+            raise BPR1Error(f"cannot save array of shape {a.shape}")
         payload = head + _entry_bytes(a)
     path.write_bytes(payload)
 
 
 def _read_exact(buf: bytes, offset: int, n: int) -> tuple[bytes, int]:
     if offset + n > len(buf):
-        raise ValueError("truncated BPR1 file")
+        raise BPR1Error("truncated BPR1 file")
     return buf[offset : offset + n], offset + n
+
+
+def _read_entries(buf: bytes, offset: int, shape: tuple[int, ...]) -> tuple[np.ndarray, int]:
+    data, offset = _read_exact(buf, offset, 16 * math.prod(shape))
+    return np.frombuffer(data, dtype="<c16").astype(np.complex128).reshape(shape), offset
 
 
 def load_bpr1(path: str | Path) -> Saveable:
@@ -70,18 +84,16 @@ def load_bpr1(path: str | Path) -> Saveable:
     buf = Path(path).read_bytes()
     magic, off = _read_exact(buf, 0, 4)
     if magic != _MAGIC:
-        raise ValueError(f"bad magic {magic!r}, expected {_MAGIC!r}")
+        raise BPR1Error(f"bad magic {magic!r}, expected {_MAGIC!r}")
     head, off = _read_exact(buf, off, 9)
     rows, cols, kind = struct.unpack("<IIB", head)
     if kind == _KIND_VECTOR:
         if cols != 1:
-            raise ValueError("vector payload must have cols == 1")
-        data, off = _read_exact(buf, off, rows * 16)
-        return np.frombuffer(data, dtype="<c16").astype(np.complex128)
-    if kind == _KIND_DENSE:
-        data, off = _read_exact(buf, off, rows * cols * 16)
-        return np.frombuffer(data, dtype="<c16").astype(np.complex128).reshape(rows, cols)
-    if kind == _KIND_KRBD:
+            raise BPR1Error("vector payload must have cols == 1")
+        out, off = _read_entries(buf, off, (rows,))
+    elif kind == _KIND_DENSE:
+        out, off = _read_entries(buf, off, (rows, cols))
+    elif kind == _KIND_KRBD:
         kbytes, off = _read_exact(buf, off, 4)
         k = struct.unpack("<I", kbytes)[0]
         shapes = []
@@ -89,14 +101,21 @@ def load_bpr1(path: str | Path) -> Saveable:
             h, off = _read_exact(buf, off, 8)
             shapes.append(struct.unpack("<II", h))
         blocks = []
-        for (br, bc) in shapes:
-            data, off = _read_exact(buf, off, br * bc * 16)
-            blocks.append(np.frombuffer(data, dtype="<c16").astype(np.complex128).reshape(br, bc))
-        part = BlockPartition(tuple(s[0] for s in shapes), tuple(s[1] for s in shapes))
+        for shape in shapes:
+            block, off = _read_entries(buf, off, shape)
+            blocks.append(block)
+        try:
+            part = BlockPartition(tuple(s[0] for s in shapes), tuple(s[1] for s in shapes))
+        except ValueError as exc:
+            raise BPR1Error(f"bad block headers: {exc}") from None
         if (part.total_rows, part.total_cols) != (rows, cols):
-            raise ValueError("block headers inconsistent with overall shape")
-        return KRBDMatrix(part, tuple(blocks))
-    raise ValueError(f"unknown BPR1 kind flag {kind}")
+            raise BPR1Error("block headers inconsistent with overall shape")
+        out = KRBDMatrix(part, tuple(blocks))
+    else:
+        raise BPR1Error(f"unknown BPR1 kind flag {kind}")
+    if off != len(buf):
+        raise BPR1Error(f"{len(buf) - off} trailing bytes after the BPR1 payload")
+    return out
 
 
 def _fmt_entry(z: complex) -> str:

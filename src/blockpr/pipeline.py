@@ -2,7 +2,7 @@
 
 The pipeline splits a block-diagonal measurement problem into K
 independent sub-problems, solves them with a configurable base solver
-(optionally on a worker pool), then resolves the K unknown per-block phase
+(optionally in worker processes), then resolves the K unknown per-block phase
 factors from the extra global tuning measurements and merges:
 
 1. blocking step: solve y_i = |H_i x_i| per block -> estimates x_i_hat,
@@ -15,13 +15,32 @@ Per-block solver seeds are derived from the master seed and the block
 index, so the result is a pure function of (instance, specs, seeds): runs
 are bitwise identical whether blocks execute sequentially or on any number
 of workers.
+
+Parallel block solves run in worker processes forked for each
+:func:`solve_blocks` call, not in threads: one WF iteration on a block is a
+few dozen numpy calls on arrays of a few hundred entries, and each call
+drops and retakes the GIL, so two threads took about twice as long for
+twice the work. Forking shares the read-only blocks copy-on-write; each
+worker sends back only its (estimate, report) pairs. The worker count is
+``min(parallelism, K, usable CPUs // BLAS threads)`` (see
+:func:`_worker_count`), so that workers times BLAS threads never exceeds
+the CPUs: two forked workers each running a 2-thread OpenBLAS were ~45x
+slower than one. With no BLAS thread variable set, OpenBLAS takes one
+thread per CPU and the blocks run in-process, one after another. Forking
+costs ~15-27 ms per call (two workers forked from a 210 MB process on a
+2-vCPU VM).
+Forking a process whose other threads hold locks can deadlock the child,
+so do not call with ``parallelism > 1`` while other threads of the
+process are running.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Mapping
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,6 +64,11 @@ __all__ = [
 
 _LANE_BLOCK = 0
 _LANE_TUNE = 1
+
+# the variables that set the BLAS library's thread count, in the order
+# OpenBLAS reads them; with none set it starts one thread per CPU
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_CAN_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 def block_seed(master_seed: int, block_index: int) -> int:
@@ -102,6 +126,50 @@ def _solve_one_block(block, meas_slice, kind, snr_db, spec, index):
     return solve_pr(sub, sub_spec)
 
 
+def _blas_threads(environ: Mapping[str, str], cpus: int) -> int:
+    """Threads the BLAS library runs per process under ``environ``."""
+    for var in _BLAS_THREAD_VARS:
+        try:
+            n = int(environ.get(var, ""))
+        except ValueError:
+            continue
+        if n >= 1:
+            return n
+    return cpus
+
+
+def _worker_count(
+    parallelism: int, n_blocks: int, cpus: int, environ: Mapping[str, str], can_fork: bool
+) -> int:
+    """Worker processes for a blocking step: min(parallelism, K, cpus // BLAS threads).
+
+    1 (solve in-process) when the platform cannot fork.
+    """
+    if not can_fork:
+        return 1
+    return max(1, min(parallelism, n_blocks, cpus // _blas_threads(environ, cpus)))
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# the blocking step's jobs; set only in worker processes, by the pool's
+# initializer, so tasks need carry nothing but a block index
+_worker_jobs: list = []
+
+
+def _set_worker_jobs(jobs: list) -> None:
+    global _worker_jobs
+    _worker_jobs = jobs
+
+
+def _solve_worker_job(index: int):
+    return _solve_one_block(*_worker_jobs[index])
+
+
 def solve_blocks(
     instance: BlockPRInstance,
     spec: SolverSpec,
@@ -111,10 +179,15 @@ def solve_blocks(
 
     Block i runs the base solver on (H_i, y_i) with seed
     ``block_seed(spec.seed, i)``. Up to ``parallelism`` blocks are in
-    flight at once; results are keyed by block index, so the output does
-    not depend on scheduling. If any block fails, all remaining blocks
-    still run and a :class:`BlockSolveError` carrying the completed
-    results is raised.
+    flight at once, each in its own worker process forked for this call;
+    the worker count is ``min(parallelism, K, usable CPUs // BLAS
+    threads)``, and with one worker the blocks run in this process. Forking
+    costs ~15-27 ms per call; do not call with ``parallelism > 1`` while
+    other threads of this process are running. Results are keyed by block
+    index, so the output does not depend on scheduling. If any block
+    fails, all remaining blocks still run and a :class:`BlockSolveError`
+    carrying the completed results is raised; a worker process that dies
+    fails every block it had not returned.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
@@ -124,28 +197,32 @@ def solve_blocks(
     kind = instance.base.kind
     snr = instance.base.snr_db
     jobs = [
-        (i, op.blocks[i], y[rs])
+        (op.blocks[i], y[rs], kind, snr, spec, i)
         for i, rs in enumerate(part.row_slices())
     ]
 
     results: dict[int, tuple] = {}
     failures: dict[int, Exception] = {}
-    if parallelism == 1:
-        for i, block, ys in jobs:
+    workers = _worker_count(parallelism, len(jobs), _usable_cpus(), os.environ, _CAN_FORK)
+    if workers == 1:
+        for i, job in enumerate(jobs):
             try:
-                results[i] = _solve_one_block(block, ys, kind, snr, spec, i)
+                results[i] = _solve_one_block(*job)
             except Exception as exc:  # noqa: BLE001 - reported per block
                 failures[i] = exc
     else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            futures = {
-                i: pool.submit(_solve_one_block, block, ys, kind, snr, spec, i)
-                for i, block, ys in jobs
-            }
+        # fork hands the jobs to the workers unpickled
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_set_worker_jobs,
+            initargs=(jobs,),
+        ) as pool:
+            futures = {i: pool.submit(_solve_worker_job, i) for i in range(len(jobs))}
         for i, fut in futures.items():
             try:
                 results[i] = fut.result()
-            except Exception as exc:  # noqa: BLE001
+            except Exception as exc:  # noqa: BLE001 - incl. BrokenProcessPool
                 failures[i] = exc
     if failures:
         raise BlockSolveError(failures, results)
@@ -216,7 +293,11 @@ def block_pr_solve(
     """Run the full pipeline: blocking step, phase tuning, merge.
 
     ``parallelism`` bounds the number of concurrent block solves (default:
-    min(K, cpu count)); it affects wall time only, never the result. With
+    min(K, cpu count)); it affects wall time only, never the result. The
+    blocks run in forked worker processes when :func:`solve_blocks` gets
+    more than one worker (see there: the count also divides the CPUs by the
+    BLAS thread count, and forking costs ~15-27 ms per call), so do not
+    call with ``parallelism > 1`` while other threads are running. With
     K = 1 the tuning step is vacuous and is skipped (d = [1]), making the
     pipeline bitwise identical to the base solver on the dense problem.
     ``tune_spec`` defaults to the unit-modulus tuner with at most 50

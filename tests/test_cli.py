@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from blockpr.cli import main
 from blockpr.io import load_bpr1
 
@@ -122,3 +124,43 @@ def test_diverged_solve_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(blockpr.cli, "block_pr_solve", diverging)
     assert run_cli(["solve", str(out)]) == 1
     assert "solver failure: residual became nan" in capsys.readouterr().err
+
+
+@pytest.fixture
+def instance_dir(tmp_path, capsys):
+    out = tmp_path / "inst"
+    assert run_cli(["gen", "--n", "16", "--k", "2", "--seed", "6", "--out", str(out)]) == 0
+    capsys.readouterr()
+    return out
+
+
+def test_solve_rejects_zero_parallelism(instance_dir, capsys):
+    with pytest.raises(SystemExit) as ei:
+        run_cli(["solve", str(instance_dir), "--parallelism", "0"])
+    assert ei.value.code == 2
+    assert "--parallelism: must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [
+    ["--config", "CFG"], ["--k", "99"], ["--n", "16"], ["--alpha", "3"], ["--beta", "5"],
+    ["--snr", "inf"], ["--trials", "2"], ["--matrix-kind", "binary01"], ["--noisy-tuning"],
+    ["--clean-tuning"], ["--baseline-include-tuning-rows"], ["--format", "json"],
+])
+def test_solve_rejects_experiment_flags(instance_dir, tmp_path, capsys, flag):
+    # the instance directory fixes the problem; solve must not accept and drop these
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"solver": {"kind": "altproj"}}))
+    flag = [str(cfg) if tok == "CFG" else tok for tok in flag]
+    with pytest.raises(SystemExit) as ei:
+        run_cli(["solve", str(instance_dir), *flag])
+    assert ei.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["trailing", "truncated"])
+def test_solve_malformed_bpr1_exit_code(instance_dir, capsys, damage):
+    h = instance_dir / "h.bpr1"
+    raw = h.read_bytes()
+    h.write_bytes(raw + b"\0\0" if damage == "trailing" else raw[:-1])
+    assert run_cli(["solve", str(instance_dir)]) == 3
+    assert "i/o error: " in capsys.readouterr().err

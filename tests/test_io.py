@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from blockpr.core import KRBDMatrix, make_krbd
-from blockpr.io import load_bpr1, load_csv, save_bpr1, save_csv
+from blockpr.io import BPR1Error, load_bpr1, load_csv, save_bpr1, save_csv
 from blockpr.rng import complex_normal, generator
 
 
@@ -56,6 +59,76 @@ def test_truncated_file(tmp_path):
     (tmp_path / "cut.bpr1").write_bytes(raw[:-8])
     with pytest.raises(ValueError, match="truncated"):
         load_bpr1(tmp_path / "cut.bpr1")
+
+
+def test_trailing_bytes_rejected(tmp_path):
+    save_bpr1(tmp_path / "v.bpr1", np.ones(4, dtype=complex))
+    with open(tmp_path / "v.bpr1", "ab") as fh:
+        fh.write(b"\0")
+    with pytest.raises(BPR1Error, match="1 trailing bytes"):
+        load_bpr1(tmp_path / "v.bpr1")
+
+
+@pytest.mark.parametrize("shape", [(2**32, 0), (0, 2**32)])
+def test_save_rejects_dimensions_past_u32(tmp_path, shape):
+    with pytest.raises(ValueError, match="do not fit"):
+        save_bpr1(tmp_path / "big.bpr1", np.zeros(shape, dtype=complex))
+    assert not (tmp_path / "big.bpr1").exists()
+
+
+def test_krbd_bad_block_headers(tmp_path):
+    # K = 0: a KRBD header with no blocks
+    (tmp_path / "k0.bpr1").write_bytes(b"BPR1" + bytes(8) + b"\x02" + bytes(4))
+    with pytest.raises(BPR1Error, match="block headers"):
+        load_bpr1(tmp_path / "k0.bpr1")
+
+
+# any complex128 value, NaN payloads and infinities included, round-trips
+# bitwise; KRBD blocks must be finite
+_entries = st.complex_numbers(allow_nan=True, allow_infinity=True)
+_finite = st.complex_numbers(allow_nan=False, allow_infinity=False)
+_vectors = arrays(np.complex128, st.integers(0, 12), elements=_entries)
+_matrices = arrays(np.complex128, st.tuples(st.integers(0, 6), st.integers(0, 6)), elements=_entries)
+_krbds = st.lists(
+    st.tuples(st.integers(1, 4), st.integers(1, 3)), min_size=1, max_size=4
+).flatmap(lambda shapes: st.tuples(*(arrays(np.complex128, s, elements=_finite) for s in shapes)))
+_saveables = st.one_of(_vectors, _matrices, _krbds.map(make_krbd))
+
+
+@pytest.fixture(scope="module")
+def bpr1_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("bpr1") / "f.bpr1"
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, KRBDMatrix):
+        return (isinstance(b, KRBDMatrix) and a.partition == b.partition
+                and all(x.tobytes() == y.tobytes() for x, y in zip(a.blocks, b.blocks)))
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@given(obj=_saveables)
+def test_round_trip_property(bpr1_path, obj):
+    save_bpr1(bpr1_path, obj)
+    assert _same(obj, load_bpr1(bpr1_path))
+
+
+@given(obj=_saveables, data=st.data())
+def test_truncated_file_property(bpr1_path, obj, data):
+    save_bpr1(bpr1_path, obj)
+    raw = bpr1_path.read_bytes()
+    cut = data.draw(st.integers(0, len(raw) - 1), label="kept bytes")
+    bpr1_path.write_bytes(raw[:cut])
+    with pytest.raises(BPR1Error, match="truncated"):
+        load_bpr1(bpr1_path)
+
+
+@given(obj=_saveables, extra=st.binary(min_size=1, max_size=64))
+def test_extended_file_property(bpr1_path, obj, extra):
+    save_bpr1(bpr1_path, obj)
+    bpr1_path.write_bytes(bpr1_path.read_bytes() + extra)
+    with pytest.raises(BPR1Error, match=f"{len(extra)} trailing bytes"):
+        load_bpr1(bpr1_path)
 
 
 def test_csv_round_trip_matrix(tmp_path):

@@ -1,8 +1,14 @@
 import os
+import signal
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from blockpr import pipeline
 from blockpr.bench import ExperimentConfig, gen_instance
 from blockpr.core import BlockPartition, BlockPRInstance, PRInstance, split_signal
 from blockpr.forward import measure, nmse
@@ -22,6 +28,46 @@ from blockpr.solvers import SolverSpec, WFParams, solve_pr
 def make_block_instance(seed, k=4, n_i=32, alpha=6, beta=20.0, snr_db=np.inf):
     cfg = ExperimentConfig(n=k * n_i, k=k, alpha=alpha, beta=beta, snr_db=snr_db, trials=1)
     return gen_instance(cfg, seed)
+
+
+def _zero_block(instance, index):
+    """``instance`` with block ``index``'s measurements zeroed (unsolvable)."""
+    y = instance.base.measurements.copy()
+    y[instance.partition.row_slices()[index]] = 0.0
+    return BlockPRInstance(
+        PRInstance(instance.base.operator, y, "intensity"),
+        instance.tuning_matrix,
+        instance.tuning_measurements,
+        instance.beta,
+    )
+
+
+@pytest.fixture
+def forced_pool(monkeypatch):
+    """Make solve_blocks fork two workers; yields the worker count of each pool.
+
+    A test that has not finished after 60 s fails instead of hanging.
+    """
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    started = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    def timed_out(signum, frame):
+        raise TimeoutError("solve_blocks with worker processes did not return in 60 s")
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", CountingPool)
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(60)
+    try:
+        yield started
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # ---------------------------------------------------------------- solve_blocks
@@ -52,28 +98,94 @@ def test_solve_blocks_per_block_recovery():
 
 def test_solve_blocks_fault_isolation():
     instance, _ = make_block_instance(77, k=4, n_i=8)
-    y = instance.base.measurements.copy()
-    part = instance.partition
-    y[part.row_slices()[1]] = 0.0  # block 1 becomes unsolvable (zero measurements)
-    broken = BlockPRInstance(
-        PRInstance(instance.base.operator, y, "intensity"),
-        instance.tuning_matrix,
-        instance.tuning_measurements,
-        instance.beta,
-    )
     with pytest.raises(BlockSolveError) as ei:
-        solve_blocks(broken, SolverSpec("wf_truncated", seed=1))
+        solve_blocks(_zero_block(instance, 1), SolverSpec("wf_truncated", seed=1))
     assert set(ei.value.failures) == {1}
     assert set(ei.value.completed) == {0, 2, 3}
 
 
-def test_solve_blocks_parallel_equals_sequential():
+def test_solve_blocks_parallel_equals_sequential(forced_pool):
     instance, _ = make_block_instance(88, k=4, n_i=16)
     spec = SolverSpec("wf_truncated", seed=11)
     seq = solve_blocks(instance, spec, parallelism=1)
+    assert forced_pool == []
     par = solve_blocks(instance, spec, parallelism=4)
-    for (z1, _), (z2, _) in zip(seq, par):
+    assert forced_pool == [2]
+    for (z1, r1), (z2, r2) in zip(seq, par):
         assert z1.tobytes() == z2.tobytes()
+        assert r1.iterations == r2.iterations and r1.stop_reason == r2.stop_reason
+
+
+# ---------------------------------------------------------------- worker processes
+
+def test_worker_count_caps_at_blocks_and_blas_free_cpus():
+    huge = 10**6
+    assert pipeline._worker_count(huge, 16, 2, {}, True) == 1  # OpenBLAS takes both CPUs
+    assert pipeline._worker_count(huge, 16, 2, {"OPENBLAS_NUM_THREADS": "1"}, True) == 2
+    assert pipeline._worker_count(huge, 16, 2, {"OPENBLAS_NUM_THREADS": "2"}, True) == 1
+    assert pipeline._worker_count(huge, 16, 1, {"OPENBLAS_NUM_THREADS": "1"}, True) == 1
+    assert pipeline._worker_count(huge, 16, 1, {}, True) == 1
+    assert pipeline._worker_count(huge, 16, 64, {"OPENBLAS_NUM_THREADS": "1"}, True) == 16
+    assert pipeline._worker_count(huge, 16, 64, {"MKL_NUM_THREADS": "8"}, True) == 8
+    assert pipeline._worker_count(3, 16, 64, {"OMP_NUM_THREADS": "1"}, True) == 3
+    assert pipeline._worker_count(huge, 16, 2, {"OPENBLAS_NUM_THREADS": "1"}, False) == 1
+
+
+def test_worker_count_reads_blas_vars_in_openblas_order():
+    env = {"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    assert pipeline._worker_count(8, 8, 8, env, True) == 2
+    # unset, unparsable or non-positive values fall through to the next variable
+    env = {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "x", "MKL_NUM_THREADS": "2"}
+    assert pipeline._worker_count(8, 8, 8, env, True) == 4
+    assert pipeline._worker_count(8, 8, 8, {"OPENBLAS_NUM_THREADS": "-1"}, True) == 1
+
+
+@given(
+    parallelism=st.integers(1, 10**6),
+    k=st.integers(1, 64),
+    cpus=st.integers(1, 128),
+    blas=st.one_of(st.none(), st.integers(1, 256)),
+    can_fork=st.booleans(),
+)
+def test_worker_count_never_exceeds_blocks_or_cpus(parallelism, k, cpus, blas, can_fork):
+    env = {} if blas is None else {"OPENBLAS_NUM_THREADS": str(blas)}
+    n = pipeline._worker_count(parallelism, k, cpus, env, can_fork)
+    assert 1 <= n <= min(parallelism, k)
+    if n > 1:  # an unset variable means one BLAS thread per CPU
+        assert can_fork and n * (blas or cpus) <= cpus
+
+
+def test_worker_processes_isolate_block_faults(forced_pool):
+    instance, _ = make_block_instance(77, k=4, n_i=8)
+    with pytest.raises(BlockSolveError) as ei:
+        solve_blocks(_zero_block(instance, 1), SolverSpec("wf_truncated", seed=1), parallelism=2)
+    assert forced_pool == [2]
+    assert set(ei.value.failures) == {1}
+    assert set(ei.value.completed) == {0, 2, 3}
+    z, _ = ei.value.completed[2]
+    assert z.shape == (8,)
+
+
+def test_dead_worker_raises_block_solve_error(forced_pool, monkeypatch):
+    parent = os.getpid()
+    solve_one = pipeline._solve_one_block
+
+    def dies_on_block_2(*job):
+        if job[-1] == 2:
+            assert os.getpid() != parent, "block 2 ran in the test process"
+            os._exit(3)
+        return solve_one(*job)
+
+    monkeypatch.setattr(pipeline, "_solve_one_block", dies_on_block_2)
+    instance, _ = make_block_instance(78, k=4, n_i=8)
+    with pytest.raises(BlockSolveError) as ei:
+        solve_blocks(instance, SolverSpec("wf_truncated", seed=1), parallelism=2)
+    assert forced_pool == [2]
+    err = ei.value
+    assert isinstance(err.failures[2], BrokenProcessPool)
+    assert "block 2:" in str(err)
+    assert set(err.failures) | set(err.completed) == {0, 1, 2, 3}
+    assert not set(err.failures) & set(err.completed)
 
 
 # ---------------------------------------------------------------- tuning matrix
@@ -260,16 +372,8 @@ def test_block_pr_solve_phase_gauge_invariance():
 
 def test_block_pr_solve_propagates_block_failures():
     instance, _ = make_block_instance(604, k=2, n_i=8)
-    y = instance.base.measurements.copy()
-    y[instance.partition.row_slices()[0]] = 0.0
-    broken = BlockPRInstance(
-        PRInstance(instance.base.operator, y, "intensity"),
-        instance.tuning_matrix,
-        instance.tuning_measurements,
-        instance.beta,
-    )
     with pytest.raises(BlockSolveError) as ei:
-        block_pr_solve(broken, SolverSpec("wf_truncated", seed=1))
+        block_pr_solve(_zero_block(instance, 0), SolverSpec("wf_truncated", seed=1))
     assert 0 in ei.value.failures
     assert 1 in ei.value.completed
 
