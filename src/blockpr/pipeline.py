@@ -293,11 +293,12 @@ def block_pr_solve(
     """Run the full pipeline: blocking step, phase tuning, merge.
 
     ``parallelism`` bounds the number of concurrent block solves (default:
-    min(K, cpu count)); it affects wall time only, never the result. The
-    blocks run in forked worker processes when :func:`solve_blocks` gets
-    more than one worker (see there: the count also divides the CPUs by the
-    BLAS thread count, and forking costs ~15-27 ms per call), so do not
-    call with ``parallelism > 1`` while other threads are running. With
+    K, which the CPU count caps); it affects wall time only, never the
+    result. The blocks run in forked worker processes when
+    :func:`solve_blocks` gets more than one worker (see there: the count is
+    ``min(parallelism, K, usable CPUs // BLAS threads)``, and forking costs
+    ~15-27 ms per call), so do not call with ``parallelism > 1`` while
+    other threads are running. With
     K = 1 the tuning step is vacuous and is skipped (d = [1]), making the
     pipeline bitwise identical to the base solver on the dense problem.
     ``tune_spec`` defaults to the unit-modulus tuner with at most 50
@@ -306,7 +307,7 @@ def block_pr_solve(
     part = instance.partition
     k = part.n_blocks
     if parallelism is None:
-        parallelism = max(1, min(k, os.cpu_count() or 1))
+        parallelism = k
     if tune_spec is None:
         tune_spec = SolverSpec(
             kind="unit_modulus_tuner", seed=tuning_seed(block_spec.seed), restarts=50
