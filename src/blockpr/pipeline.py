@@ -25,10 +25,15 @@ worker sends back only its (estimate, report) pairs. The worker count is
 ``min(parallelism, K, usable CPUs // BLAS threads)`` (see
 :func:`_worker_count`), so that workers times BLAS threads never exceeds
 the CPUs: two forked workers each running a 2-thread OpenBLAS were ~45x
-slower than one. With no BLAS thread variable set, OpenBLAS takes one
-thread per CPU and the blocks run in-process, one after another. Forking
-costs ~15-27 ms per call (two workers forked from a 210 MB process on a
-2-vCPU VM).
+slower than one. BLAS threads are what OpenBLAS, numpy's BLAS, reads from
+``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``, and
+one per CPU when none is set, in which case the blocks run in-process, one
+after another. OpenBLAS reads these variables once, when numpy loads it,
+so this module reads them once too, when it is imported; setting them
+later changes neither. Forking costs ~15-27 ms per call (two workers
+forked from a 210 MB process on a 2-vCPU VM), more than a second worker
+saves on a small problem, so blocks holding fewer than
+``_POOL_MIN_ENTRIES`` matrix entries in all are solved in-process too.
 Forking a process whose other threads hold locks can deadlock the child,
 so do not call with ``parallelism > 1`` while other threads of the
 process are running.
@@ -65,9 +70,17 @@ __all__ = [
 _LANE_BLOCK = 0
 _LANE_TUNE = 1
 
-# the variables that set the BLAS library's thread count, in the order
-# OpenBLAS reads them; with none set it starts one thread per CPU
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# the variables OpenBLAS reads for its thread count, in its order; with none
+# set it starts one thread per CPU. It reads them when numpy loads it, and
+# so does this module, at import (importing it loads numpy)
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+_BLAS_ENV = {var: os.environ[var] for var in _BLAS_THREAD_VARS if var in os.environ}
+# blocks with fewer matrix entries than this in all are solved in-process:
+# with OpenBLAS pinned to 1 thread on 2 CPUs, two workers took 1.0-1.9x as
+# long as one process for WF and AP blocking steps at N = 256 (K = 4, up to
+# 2^18 entries), 0.65-1.27x at N = 512 (3 * 2^17), and 0.49-0.69x at
+# N >= 1024 (3 * 2^18 and more)
+_POOL_MIN_ENTRIES = 2**19
 _CAN_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
@@ -127,7 +140,7 @@ def _solve_one_block(block, meas_slice, kind, snr_db, spec, index):
 
 
 def _blas_threads(environ: Mapping[str, str], cpus: int) -> int:
-    """Threads the BLAS library runs per process under ``environ``."""
+    """Threads OpenBLAS runs per process when started under ``environ``."""
     for var in _BLAS_THREAD_VARS:
         try:
             n = int(environ.get(var, ""))
@@ -139,13 +152,19 @@ def _blas_threads(environ: Mapping[str, str], cpus: int) -> int:
 
 
 def _worker_count(
-    parallelism: int, n_blocks: int, cpus: int, environ: Mapping[str, str], can_fork: bool
+    parallelism: int,
+    n_blocks: int,
+    entries: int,
+    cpus: int,
+    environ: Mapping[str, str],
+    can_fork: bool,
 ) -> int:
     """Worker processes for a blocking step: min(parallelism, K, cpus // BLAS threads).
 
-    1 (solve in-process) when the platform cannot fork.
+    1 (solve in-process) when the platform cannot fork or the K blocks hold
+    fewer than ``_POOL_MIN_ENTRIES`` matrix entries in all.
     """
-    if not can_fork:
+    if not can_fork or entries < _POOL_MIN_ENTRIES:
         return 1
     return max(1, min(parallelism, n_blocks, cpus // _blas_threads(environ, cpus)))
 
@@ -181,13 +200,15 @@ def solve_blocks(
     ``block_seed(spec.seed, i)``. Up to ``parallelism`` blocks are in
     flight at once, each in its own worker process forked for this call;
     the worker count is ``min(parallelism, K, usable CPUs // BLAS
-    threads)``, and with one worker the blocks run in this process. Forking
-    costs ~15-27 ms per call; do not call with ``parallelism > 1`` while
-    other threads of this process are running. Results are keyed by block
-    index, so the output does not depend on scheduling. If any block
-    fails, all remaining blocks still run and a :class:`BlockSolveError`
-    carrying the completed results is raised; a worker process that dies
-    fails every block it had not returned.
+    threads)``, with BLAS threads as the environment gave them when this
+    module was imported. With one worker, and for blocks holding fewer
+    than ``_POOL_MIN_ENTRIES`` matrix entries in all, the blocks run in
+    this process: forking costs ~15-27 ms per call. Do not call with
+    ``parallelism > 1`` while other threads of this process are running.
+    Results are keyed by block index, so the output does not depend on
+    scheduling. If any block fails, all remaining blocks still run and a
+    :class:`BlockSolveError` carrying the completed results is raised; a
+    worker process that dies fails every block it had not returned.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
@@ -203,7 +224,10 @@ def solve_blocks(
 
     results: dict[int, tuple] = {}
     failures: dict[int, Exception] = {}
-    workers = _worker_count(parallelism, len(jobs), _usable_cpus(), os.environ, _CAN_FORK)
+    entries = sum(block.size for block in op.blocks)
+    workers = _worker_count(
+        parallelism, len(jobs), entries, _usable_cpus(), _BLAS_ENV, _CAN_FORK
+    )
     if workers == 1:
         for i, job in enumerate(jobs):
             try:
@@ -296,10 +320,10 @@ def block_pr_solve(
     K, which the CPU count caps); it affects wall time only, never the
     result. The blocks run in forked worker processes when
     :func:`solve_blocks` gets more than one worker (see there: the count is
-    ``min(parallelism, K, usable CPUs // BLAS threads)``, and forking costs
-    ~15-27 ms per call), so do not call with ``parallelism > 1`` while
-    other threads are running. With
-    K = 1 the tuning step is vacuous and is skipped (d = [1]), making the
+    ``min(parallelism, K, usable CPUs // BLAS threads)``, and small
+    problems stay in-process because forking costs ~15-27 ms per call), so
+    do not call with ``parallelism > 1`` while other threads are running.
+    With K = 1 the tuning step is vacuous and is skipped (d = [1]), making the
     pipeline bitwise identical to the base solver on the dense problem.
     ``tune_spec`` defaults to the unit-modulus tuner with at most 50
     restarts and a seed derived from the block spec's master seed.

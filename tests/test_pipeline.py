@@ -43,13 +43,11 @@ def _zero_block(instance, index):
 
 
 @pytest.fixture
-def forced_pool(monkeypatch):
-    """Make solve_blocks fork two workers; yields the worker count of each pool.
+def pool_starts(monkeypatch):
+    """Yields the worker count of each pool solve_blocks starts.
 
     A test that has not finished after 60 s fails instead of hanging.
     """
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
     started = []
 
     class CountingPool(ProcessPoolExecutor):
@@ -68,6 +66,15 @@ def forced_pool(monkeypatch):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def forced_pool(pool_starts, monkeypatch):
+    """Make solve_blocks fork two workers, even for small blocks."""
+    monkeypatch.setattr(pipeline, "_BLAS_ENV", {"OPENBLAS_NUM_THREADS": "1"})
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(pipeline, "_POOL_MIN_ENTRIES", 0)
+    return pool_starts
 
 
 # ---------------------------------------------------------------- solve_blocks
@@ -118,41 +125,65 @@ def test_solve_blocks_parallel_equals_sequential(forced_pool):
 
 # ---------------------------------------------------------------- worker processes
 
+def _count(env, cpus=2, parallelism=10**6, k=16, entries=None, can_fork=True):
+    if entries is None:
+        entries = pipeline._POOL_MIN_ENTRIES
+    return pipeline._worker_count(parallelism, k, entries, cpus, env, can_fork)
+
+
 def test_worker_count_caps_at_blocks_and_blas_free_cpus():
-    huge = 10**6
-    assert pipeline._worker_count(huge, 16, 2, {}, True) == 1  # OpenBLAS takes both CPUs
-    assert pipeline._worker_count(huge, 16, 2, {"OPENBLAS_NUM_THREADS": "1"}, True) == 2
-    assert pipeline._worker_count(huge, 16, 2, {"OPENBLAS_NUM_THREADS": "2"}, True) == 1
-    assert pipeline._worker_count(huge, 16, 1, {"OPENBLAS_NUM_THREADS": "1"}, True) == 1
-    assert pipeline._worker_count(huge, 16, 1, {}, True) == 1
-    assert pipeline._worker_count(huge, 16, 64, {"OPENBLAS_NUM_THREADS": "1"}, True) == 16
-    assert pipeline._worker_count(huge, 16, 64, {"MKL_NUM_THREADS": "8"}, True) == 8
-    assert pipeline._worker_count(3, 16, 64, {"OMP_NUM_THREADS": "1"}, True) == 3
-    assert pipeline._worker_count(huge, 16, 2, {"OPENBLAS_NUM_THREADS": "1"}, False) == 1
+    assert _count({}) == 1  # OpenBLAS takes both CPUs
+    assert _count({"OPENBLAS_NUM_THREADS": "1"}) == 2
+    assert _count({"OPENBLAS_NUM_THREADS": "2"}) == 1
+    assert _count({"OPENBLAS_NUM_THREADS": "1"}, cpus=1) == 1
+    assert _count({}, cpus=1) == 1
+    assert _count({"OPENBLAS_NUM_THREADS": "1"}, cpus=64) == 16
+    assert _count({"OMP_NUM_THREADS": "8"}, cpus=64) == 8
+    assert _count({"OMP_NUM_THREADS": "1"}, cpus=64, parallelism=3) == 3
+    assert _count({"OPENBLAS_NUM_THREADS": "1"}, can_fork=False) == 1
+    # small problems stay in-process
+    assert _count({"OPENBLAS_NUM_THREADS": "1"}, entries=pipeline._POOL_MIN_ENTRIES - 1) == 1
 
 
 def test_worker_count_reads_blas_vars_in_openblas_order():
-    env = {"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    assert pipeline._worker_count(8, 8, 8, env, True) == 2
+    env = {"OPENBLAS_NUM_THREADS": "4", "GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    assert _count(env, cpus=8, parallelism=8, k=8) == 2
+    assert _count({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, cpus=8, parallelism=8, k=8) == 4
     # unset, unparsable or non-positive values fall through to the next variable
-    env = {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "x", "MKL_NUM_THREADS": "2"}
-    assert pipeline._worker_count(8, 8, 8, env, True) == 4
-    assert pipeline._worker_count(8, 8, 8, {"OPENBLAS_NUM_THREADS": "-1"}, True) == 1
+    env = {"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "x", "OMP_NUM_THREADS": "2"}
+    assert _count(env, cpus=8, parallelism=8, k=8) == 4
+    assert _count({"OPENBLAS_NUM_THREADS": "-1"}, cpus=8, parallelism=8, k=8) == 1
+    # OpenBLAS ignores MKL's variable and starts one thread per CPU
+    assert _count({"MKL_NUM_THREADS": "1"}) == 1
 
 
 @given(
     parallelism=st.integers(1, 10**6),
     k=st.integers(1, 64),
+    entries=st.integers(0, 2**24),
     cpus=st.integers(1, 128),
     blas=st.one_of(st.none(), st.integers(1, 256)),
     can_fork=st.booleans(),
 )
-def test_worker_count_never_exceeds_blocks_or_cpus(parallelism, k, cpus, blas, can_fork):
+def test_worker_count_never_exceeds_blocks_or_cpus(parallelism, k, entries, cpus, blas, can_fork):
     env = {} if blas is None else {"OPENBLAS_NUM_THREADS": str(blas)}
-    n = pipeline._worker_count(parallelism, k, cpus, env, can_fork)
+    n = pipeline._worker_count(parallelism, k, entries, cpus, env, can_fork)
     assert 1 <= n <= min(parallelism, k)
     if n > 1:  # an unset variable means one BLAS thread per CPU
-        assert can_fork and n * (blas or cpus) <= cpus
+        assert can_fork and entries >= pipeline._POOL_MIN_ENTRIES
+        assert n * (blas or cpus) <= cpus
+
+
+def test_blas_threads_are_read_at_import_not_per_call(pool_starts, monkeypatch):
+    # OpenBLAS fixed its thread count when numpy loaded; a later change
+    # to the environment must not turn the pool on
+    monkeypatch.setattr(pipeline, "_BLAS_ENV", {})
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(pipeline, "_POOL_MIN_ENTRIES", 0)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    instance, _ = make_block_instance(79, k=2, n_i=8)
+    solve_blocks(instance, SolverSpec("wf_truncated", seed=1), parallelism=2)
+    assert pool_starts == []
 
 
 def test_worker_processes_isolate_block_faults(forced_pool):
