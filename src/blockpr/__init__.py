@@ -22,10 +22,8 @@ from .core import (
     BlockPartition,
     BlockPRInstance,
     KRBDMatrix,
-    OffBlockMass,
     PRInstance,
     concat_blocks,
-    krbd_from_dense,
     make_krbd,
     split_signal,
 )
@@ -39,7 +37,7 @@ from .forward import (
     nmse,
     residual,
 )
-from .io import BPR1Error, load_bpr1, load_csv, save_bpr1, save_csv
+from .io import BPR1Error, load_bpr1, save_bpr1
 from .pipeline import (
     BlockSolveError,
     BlockSolveOutput,
@@ -55,7 +53,6 @@ from .rng import generator, mix_seed
 from .solvers import (
     APParams,
     Diverged,
-    LeastSquaresOperator,
     NonProgress,
     RankDeficient,
     SolverReport,

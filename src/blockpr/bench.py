@@ -15,12 +15,13 @@ keep wall-clock measurements clean.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Literal
+from typing import Literal, TextIO
 
 import numpy as np
 
@@ -349,21 +350,25 @@ def sweep(cfg_template: ExperimentConfig, *, n_list=None, k_list=None,
 
 
 def emit_report(table: SweepTable, format: Literal["csv", "json"], path: str | Path) -> None:
-    """Write a sweep table; CSV columns are fixed, JSON mirrors the records."""
+    """Write a sweep table to ``path`` as :func:`_write_report` writes it."""
+    text = io.StringIO()
+    _write_report(table, format, text)
+    Path(path).write_text(text.getvalue())
+
+
+def _write_report(table: SweepTable, format: Literal["csv", "json"], fh: TextIO) -> None:
+    """Write a sweep table to a text stream; CSV columns are fixed, JSON mirrors the records."""
     if not table.rows:
         raise ValueError("empty table")
-    path = Path(path)
     if format == "csv":
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for row in table.rows:
-                rec = row.as_record()
-                writer.writerow(["" if rec.get(c) is None else rec.get(c) for c in CSV_COLUMNS])
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        for row in table.rows:
+            rec = row.as_record()
+            writer.writerow(["" if rec.get(c) is None else rec.get(c) for c in CSV_COLUMNS])
     elif format == "json":
-        with path.open("w") as fh:
-            json.dump([row.as_record() for row in table.rows], fh, indent=2)
-            fh.write("\n")
+        json.dump([row.as_record() for row in table.rows], fh, indent=2)
+        fh.write("\n")
     else:
         raise ValueError(f"unknown format {format!r}")
 

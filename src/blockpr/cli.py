@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as bprio
-from .bench import _LANE_TRIAL, ExperimentConfig, emit_report, gen_instance, sweep
+from .bench import _LANE_TRIAL, ExperimentConfig, _write_report, emit_report, gen_instance, sweep
 from .core import BlockPRInstance, PRInstance
 from .pipeline import BlockSolveError, block_pr_solve
 from .rng import mix_seed
@@ -65,6 +65,15 @@ def _solver_spec(value, default_kind="wf_truncated") -> SolverSpec:
     if params is not None:
         params = WFParams(**params) if kind == "wf_truncated" else APParams(**params)
     return SolverSpec(kind, params=params, restarts=int(value.get("restarts", 1)))
+
+
+def _block_solver_spec(value) -> SolverSpec:
+    """The ``--solver`` (or config ``solver``) spec; the phase tuner is not a block solver."""
+    spec = _solver_spec(value)
+    if spec.kind == "unit_modulus_tuner":
+        raise ValueError("--solver: the tuner only tunes block phases (--tune-solver); "
+                         "use wf or altproj")
+    return spec
 
 
 def _parse_snr(s: str) -> float:
@@ -138,7 +147,7 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
         raw["n"] = args.n_list[0]  # sweep points override n anyway
     if "n" not in raw:
         raise ValueError("signal size is required (--n or config file)")
-    solver = _solver_spec(args.solver if args.solver is not None else raw.get("solver"))
+    solver = _block_solver_spec(args.solver if args.solver is not None else raw.get("solver"))
     if args.restarts is not None:
         solver = dataclasses.replace(solver, restarts=args.restarts)
     raw["solver"] = solver
@@ -154,8 +163,6 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _cmd_gen(args, cfg: ExperimentConfig) -> int:
-    if cfg.output_path is None:
-        raise ValueError("gen requires --out DIRECTORY")
     instance, x = gen_instance(cfg, mix_seed(cfg.seed, _LANE_TRIAL, 0))
     out = Path(cfg.output_path)
     out.mkdir(parents=True, exist_ok=True)
@@ -227,12 +234,7 @@ def _emit(args, cfg: ExperimentConfig, table) -> int:
         emit_report(table, fmt, cfg.output_path)
         print(f"wrote {fmt} report to {cfg.output_path}")
     else:
-        import tempfile
-
-        with tempfile.TemporaryDirectory() as tmp:
-            tmp_path = Path(tmp) / f"report.{fmt}"
-            emit_report(table, fmt, tmp_path)
-            sys.stdout.write(tmp_path.read_text())
+        _write_report(table, fmt, sys.stdout)
     failed = [r for r in table.rows if r.error is not None]
     return EXIT_SOLVER if failed else EXIT_OK
 
@@ -272,7 +274,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "solve":
-            solver = _solver_spec(args.solver)
+            solver = _block_solver_spec(args.solver)
             if args.restarts is not None:
                 solver = dataclasses.replace(solver, restarts=args.restarts)
             if args.seed is not None:
@@ -281,6 +283,8 @@ def main(argv=None) -> int:
             parallelism = args.parallelism
         else:
             cfg = build_config(args)
+            if args.command == "gen" and cfg.output_path is None:
+                raise ValueError("gen requires --out DIRECTORY")
     except (ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG

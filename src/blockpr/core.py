@@ -6,7 +6,8 @@ Vectors and dense matrices are plain numpy arrays (complex128, i.e. two
 construction boundaries. Structured containers (:class:`BlockPartition`,
 :class:`KRBDMatrix`, :class:`PRInstance`, :class:`BlockPRInstance`) are
 frozen dataclasses whose stored arrays are marked read-only, so every type
-here is immutable after construction and safe to share across threads.
+here is immutable after construction and shared copy-on-write by forked
+workers.
 """
 
 from __future__ import annotations
@@ -23,31 +24,13 @@ __all__ = [
     "BlockPartition",
     "KRBDMatrix",
     "MeasurementKind",
-    "OffBlockMass",
     "PRInstance",
     "as_complex_vector",
     "as_dense_matrix",
     "concat_blocks",
-    "krbd_from_dense",
     "make_krbd",
     "split_signal",
 ]
-
-
-class OffBlockMass(ValueError):
-    """A dense matrix has mass outside the diagonal blocks.
-
-    Reports the offending entry with the largest modulus.
-    """
-
-    def __init__(self, row: int, col: int, modulus: float, tol: float):
-        self.row = row
-        self.col = col
-        self.modulus = modulus
-        self.tol = tol
-        super().__init__(
-            f"off-block entry at ({row}, {col}) has modulus {modulus:.6g} > tol {tol:.6g}"
-        )
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -198,32 +181,6 @@ def make_krbd(blocks: Sequence[np.ndarray]) -> KRBDMatrix:
         tuple(m.shape[1] for m in mats),
     )
     return KRBDMatrix(part, tuple(mats))
-
-
-def krbd_from_dense(full: np.ndarray, partition: BlockPartition, tol: float = 0.0) -> KRBDMatrix:
-    """Extract block form from a dense matrix, verifying off-block entries.
-
-    Succeeds iff every entry outside the diagonal blocks has modulus <= tol
-    (default 0: exact). Raises :class:`OffBlockMass` pointing at the largest
-    offender otherwise. Extracted blocks equal the dense sub-blocks exactly.
-    """
-    full = as_dense_matrix(full)
-    if full.shape != (partition.total_rows, partition.total_cols):
-        raise ValueError(
-            f"matrix shape {full.shape} does not match partition "
-            f"({partition.total_rows}, {partition.total_cols})"
-        )
-    mask = np.ones(full.shape, dtype=bool)
-    blocks = []
-    for rs, cs in zip(partition.row_slices(), partition.col_slices()):
-        blocks.append(full[rs, cs].copy())
-        mask[rs, cs] = False
-    off = np.abs(full) * mask
-    worst = np.unravel_index(int(np.argmax(off)), off.shape)
-    worst_mod = float(off[worst])
-    if worst_mod > tol:
-        raise OffBlockMass(int(worst[0]), int(worst[1]), worst_mod, tol)
-    return KRBDMatrix(partition, tuple(blocks))
 
 
 def split_signal(x: np.ndarray, partition: BlockPartition) -> list[np.ndarray]:

@@ -1,4 +1,4 @@
-"""BPR1 binary interchange format plus a debugging CSV form.
+"""BPR1 binary interchange format.
 
 BPR1 layout: magic bytes ``BPR1``, u32 little-endian rows, u32 cols, u8
 kind flag (0 = vector, 1 = dense, 2 = krbd). A krbd payload continues with
@@ -6,25 +6,20 @@ u32 K and K per-block (u32 rows, u32 cols) headers. Entries follow as
 float64 little-endian interleaved (re, im) pairs, row-major, blocks in
 order for krbd, and end the file. A malformed file, or an array whose
 dimensions do not fit a u32, raises :class:`BPR1Error`.
-
-The CSV form writes entries as ``a+bi`` text, one matrix row per line
-(vectors: one entry per line). It exists for eyeballing small problems;
-BPR1 is the canonical format.
 """
 
 from __future__ import annotations
 
 import math
-import re
 import struct
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
-from .core import BlockPartition, KRBDMatrix, as_complex_vector, as_dense_matrix
+from .core import BlockPartition, KRBDMatrix
 
-__all__ = ["BPR1Error", "load_bpr1", "load_csv", "save_bpr1", "save_csv"]
+__all__ = ["BPR1Error", "load_bpr1", "save_bpr1"]
 
 _MAGIC = b"BPR1"
 _KIND_VECTOR = 0
@@ -116,51 +111,3 @@ def load_bpr1(path: str | Path) -> Saveable:
     if off != len(buf):
         raise BPR1Error(f"{len(buf) - off} trailing bytes after the BPR1 payload")
     return out
-
-
-def _fmt_entry(z: complex) -> str:
-    re_, im_ = float(np.real(z)), float(np.imag(z))
-    sign = "+" if im_ >= 0 or np.isnan(im_) else "-"
-    return f"{re_!r}{sign}{abs(im_)!r}i"
-
-
-_FLOAT = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-_ENTRY_RE = re.compile(rf"^\s*({_FLOAT})\s*([+-]\s*(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)i\s*$")
-
-
-def _parse_entry(s: str) -> complex:
-    m = _ENTRY_RE.match(s)
-    if m is None:
-        raise ValueError(f"cannot parse complex entry {s!r}")
-    return complex(float(m.group(1)), float(m.group(2).replace(" ", "")))
-
-
-def save_csv(path: str | Path, obj: np.ndarray) -> None:
-    """Write a vector (one entry per line) or dense matrix as a+bi text."""
-    a = np.asarray(obj, dtype=np.complex128)
-    if a.ndim == 1:
-        lines = [_fmt_entry(z) for z in a]
-    elif a.ndim == 2:
-        lines = [",".join(_fmt_entry(z) for z in row) for row in a]
-    else:
-        raise ValueError(f"cannot save array of shape {a.shape}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_csv(path: str | Path) -> np.ndarray:
-    """Read a+bi text; single-column files come back as 1-D vectors."""
-    rows = []
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        rows.append([_parse_entry(tok) for tok in line.split(",")])
-    if not rows:
-        raise ValueError("empty CSV file")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError("ragged CSV rows")
-    a = np.array(rows, dtype=np.complex128)
-    if width == 1:
-        vec = a[:, 0]
-        return as_complex_vector(vec, check_finite=False)
-    return as_dense_matrix(a, check_finite=False)

@@ -53,7 +53,7 @@ import numpy as np
 from .core import BlockPartition, BlockPRInstance, PRInstance, concat_blocks
 from .forward import magnitudes_from_intensity
 from .rng import mix_seed
-from .solvers import APParams, SolverReport, SolverSpec, solve_pr, unit_modulus_tune
+from .solvers import SolverReport, SolverSpec, _unit_modulus, solve_pr, unit_modulus_tune
 
 __all__ = [
     "BlockSolveError",
@@ -288,15 +288,10 @@ def phase_tune(
     Delegates to the configured solver; non-constrained solvers get their
     output renormalized entrywise so the returned d is always unit-modulus.
     """
-    params = spec.params if isinstance(spec.params, APParams) else APParams()
     if spec.kind == "unit_modulus_tuner":
-        return unit_modulus_tune(compressed, y_t, params, spec.seed, spec.restarts)
-    inst = PRInstance(compressed, y_t, "magnitude")
-    d, report = solve_pr(inst, spec)
-    absd = np.abs(d)
-    out = np.ones_like(d)
-    np.divide(d, absd, out=out, where=absd >= 1e-14)
-    return out, report
+        return unit_modulus_tune(compressed, y_t, spec.params, spec.seed, spec.restarts)
+    d, report = solve_pr(PRInstance(compressed, y_t, "magnitude"), spec)
+    return _unit_modulus(d), report
 
 
 def merge(block_estimates, d_hat: np.ndarray) -> np.ndarray:

@@ -21,12 +21,15 @@ are the relative magnitude misfit of :func:`blockpr.forward.residual`.
 All three share one stop policy (:func:`_stop_reason`): a run ends when its
 residual reaches ``tol``, when it stalls (moved by less than 1e-3, relative,
 over the last 50 iterations; on noisy data ``tol`` is out of reach and the
-plateau is the answer; :class:`APParams` sets both for AP and the tuner),
-or at ``max_iters``, and
+plateau is the answer), or at ``max_iters``, and
 :class:`SolverReport.stop_reason` says which. A non-finite residual raises
 :class:`Diverged`. The spectral start ends its power iteration once the unit
 iterate stops moving, and the phase tuner ends its restart loop once a
 restart's final residual agrees with the best before it.
+
+The solvers run on dense operators only: the pipeline hands them one
+diagonal block at a time, and a :class:`~blockpr.core.KRBDMatrix` raises
+``TypeError``.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ from .rng import complex_normal, generator, mix_seed
 __all__ = [
     "APParams",
     "Diverged",
-    "LeastSquaresOperator",
     "NonProgress",
     "RankDeficient",
     "SolverReport",
@@ -63,10 +65,10 @@ __all__ = [
 SolverKind = Literal["wf_truncated", "alt_proj", "unit_modulus_tuner"]
 StopReason = Literal["tol", "stall", "max_iters"]
 
-# wf_solve's stall stop: the residual moved by less than _WF_STALL_RTOL,
-# relative, over the last _WF_STALL_WINDOW iterations (APParams' defaults)
-_WF_STALL_WINDOW = 50
-_WF_STALL_RTOL = 1e-3
+# the stall stop: the residual moved by less than _STALL_RTOL, relative, over
+# the last _STALL_WINDOW iterations
+_STALL_WINDOW = 50
+_STALL_RTOL = 1e-3
 # the spectral start's power iteration ends once ||v_k - v_{k-1}|| <= this
 # (unit iterates); init_power_iters stays the cap
 _SPECTRAL_STEP_TOL = 1e-3
@@ -128,25 +130,17 @@ class WFParams:
 
 @dataclass(frozen=True)
 class APParams:
-    """Alternating-projections parameters.
-
-    ``stall_window`` and ``stall_rtol`` set the stall stop of the shared
-    stop policy (module docstring); ``stall_window = 0`` disables it.
-    """
+    """Alternating-projections (and phase-tuner) parameters."""
 
     max_iters: int = 600
     tol: float = 1e-10
     init: Literal["random", "spectral"] = "random"
-    stall_window: int = 50
-    stall_rtol: float = 1e-3
 
     def __post_init__(self):
         if self.max_iters <= 0 or self.tol <= 0:
             raise ValueError("max_iters and tol must be positive")
         if self.init not in ("random", "spectral"):
             raise ValueError(f"unknown init {self.init!r}")
-        if self.stall_window < 0 or self.stall_rtol < 0:
-            raise ValueError("stall parameters must be nonnegative")
 
 
 SolverParams = Union[WFParams, APParams]
@@ -154,7 +148,12 @@ SolverParams = Union[WFParams, APParams]
 
 @dataclass(frozen=True)
 class SolverSpec:
-    """Which base solver to run, with which parameters, seed, and restarts."""
+    """Which base solver to run, with which parameters, seed, and restarts.
+
+    ``params`` must match the kind: :class:`WFParams` for "wf_truncated",
+    :class:`APParams` for "alt_proj" and "unit_modulus_tuner"; None means
+    that class's defaults.
+    """
 
     kind: SolverKind
     params: SolverParams | None = None
@@ -162,8 +161,13 @@ class SolverSpec:
     restarts: int = 1
 
     def __post_init__(self):
-        if self.kind not in ("wf_truncated", "alt_proj", "unit_modulus_tuner"):
+        if self.kind not in get_args(SolverKind):
             raise ValueError(f"unknown solver kind {self.kind!r}")
+        want = WFParams if self.kind == "wf_truncated" else APParams
+        if self.params is not None and not isinstance(self.params, want):
+            raise ValueError(
+                f"{self.kind} takes {want.__name__}, got {type(self.params).__name__}"
+            )
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
 
@@ -203,42 +207,33 @@ def _row_norms(h: np.ndarray) -> np.ndarray:
     ])
 
 
+def _dense(op: Operator, who: str) -> np.ndarray:
+    """``op`` itself if dense; a KRBDMatrix raises TypeError."""
+    if isinstance(op, KRBDMatrix):
+        raise TypeError(f"{who} expects a dense operator; densify or solve per block")
+    return op
+
+
 class _LinOp:
-    """Uniform matvec / adjoint-matvec view over dense and KRBD operators.
+    """Matvec / adjoint-matvec view of a dense operator, with its row norms.
 
     The adjoint is applied as conj(w^H H), so no conjugate-transposed copy
     of the operator is kept.
     """
 
-    def __init__(self, op: Operator):
+    def __init__(self, op: np.ndarray):
         self.op = op
         self.shape = op.shape
-        if isinstance(op, KRBDMatrix):
-            part = op.partition
-            self._blocks = tuple(zip(op.blocks, part.row_slices(), part.col_slices()))
-            self.row_norms = np.concatenate([_row_norms(b) for b in op.blocks])
-        else:
-            self._blocks = None
-            self.row_norms = _row_norms(op)
+        self.row_norms = _row_norms(op)
 
     def matvec(self, z: np.ndarray) -> np.ndarray:
-        if self._blocks is None:
-            return self.op @ z
-        out = np.empty(self.shape[0], dtype=np.complex128)
-        for b, rs, cs in self._blocks:
-            out[rs] = b @ z[cs]
-        return out
+        return self.op @ z
 
     def rmatvec(self, w: np.ndarray) -> np.ndarray:
-        if self._blocks is None:
-            return (w.conj() @ self.op).conj()
-        out = np.empty(self.shape[1], dtype=np.complex128)
-        for b, rs, cs in self._blocks:
-            out[cs] = (w[rs].conj() @ b).conj()
-        return out
+        return (w.conj() @ self.op).conj()
 
 
-def spectral_init(op: Operator | _LinOp, b: np.ndarray, params: WFParams,
+def spectral_init(op: np.ndarray | _LinOp, b: np.ndarray, params: WFParams,
                   seed: int) -> np.ndarray:
     """Spectral starting point from intensity measurements.
 
@@ -249,7 +244,7 @@ def spectral_init(op: Operator | _LinOp, b: np.ndarray, params: WFParams,
     scales the unit eigenvector v to ||z0|| = sqrt(N * mean(b) /
     mean(||h_r||^2)) so that ||z0||^2 estimates the signal energy.
     """
-    lin = op if isinstance(op, _LinOp) else _LinOp(op)
+    lin = op if isinstance(op, _LinOp) else _LinOp(_dense(op, "spectral_init"))
     m, n = lin.shape
     b = np.asarray(b, dtype=np.float64)
     if len(b) != m:
@@ -285,24 +280,24 @@ class _Run(NamedTuple):
     reason: StopReason
 
 
-def _stop_reason(trace: list[float], iterations: int, tol: float, max_iters: int,
-                 stall_window: int, stall_rtol: float) -> StopReason | None:
+def _stop_reason(trace: list[float], iterations: int, tol: float,
+                 max_iters: int) -> StopReason | None:
     """The stop policy every solver run shares; None means iterate again.
 
     ``trace`` holds the residuals so far, ``iterations`` the updates made.
     Stops on "tol" once the last residual reaches ``tol``, on "stall" once
-    it differs by less than ``stall_rtol`` (relative) from the residual
-    ``stall_window`` entries earlier (``stall_window = 0`` never stalls),
-    and on "max_iters" at the cap. A residual that keeps growing is not a
-    stall. Raises :class:`Diverged` on a non-finite residual.
+    it differs by less than ``_STALL_RTOL`` (relative) from the residual
+    ``_STALL_WINDOW`` entries earlier, and on "max_iters" at the cap. A
+    residual that keeps growing is not a stall. Raises :class:`Diverged` on
+    a non-finite residual.
     """
     resid = trace[-1]
     if not math.isfinite(resid):
         raise Diverged(f"residual became {resid} after {iterations} iterations")
     if resid <= tol:
         return "tol"
-    w = stall_window
-    if w and len(trace) > w and abs(trace[-1 - w] - resid) < stall_rtol * trace[-1 - w]:
+    w = _STALL_WINDOW
+    if len(trace) > w and abs(trace[-1 - w] - resid) < _STALL_RTOL * trace[-1 - w]:
         return "stall"
     if iterations >= max_iters:
         return "max_iters"
@@ -371,7 +366,7 @@ def wf_solve(
         raise ValueError("wf_solve consumes intensity measurements")
     t0 = time.perf_counter()
     b = instance.measurements
-    lin = _LinOp(instance.operator)
+    lin = _LinOp(_dense(instance.operator, "wf_solve"))
     m, n = lin.shape
     a = magnitudes_from_intensity(b)
     norm_a = float(np.linalg.norm(a))
@@ -396,8 +391,7 @@ def wf_solve(
         trace = [resid]
         iterations = 0
         empty_streak = 0
-        while (reason := _stop_reason(trace, iterations, params.tol, params.max_iters,
-                                      _WF_STALL_WINDOW, _WF_STALL_RTOL)) is None:
+        while (reason := _stop_reason(trace, iterations, params.tol, params.max_iters)) is None:
             absv = np.abs(v)
             absv2 = absv * absv
             znorm = float(np.linalg.norm(z))
@@ -468,15 +462,21 @@ class LeastSquaresOperator:
 
 def pinv_factor(op: np.ndarray) -> LeastSquaresOperator:
     """Factor a tall dense matrix once for repeated least-squares solves."""
-    if isinstance(op, KRBDMatrix):
-        raise TypeError("pinv_factor expects a dense matrix; densify the operator first")
-    return LeastSquaresOperator(op)
+    return LeastSquaresOperator(_dense(op, "pinv_factor"))
 
 
 def _phases(v: np.ndarray) -> np.ndarray:
     absv = np.abs(v)
     out = np.ones_like(v)
     np.divide(v, absv, out=out, where=absv > 0)  # phase(0) = 1 convention
+    return out
+
+
+def _unit_modulus(d: np.ndarray) -> np.ndarray:
+    """Each entry pulled to the unit circle; entries below 1e-14 in modulus become 1."""
+    absd = np.abs(d)
+    out = np.ones_like(d)
+    np.divide(d, absd, out=out, where=absd >= 1e-14)
     return out
 
 
@@ -497,8 +497,7 @@ def _project_run(mat: np.ndarray, lsq: LeastSquaresOperator, target: np.ndarray,
             x = project(x)
         mx = mat @ x
         trace.append(float(np.linalg.norm(np.abs(mx) - target)) / norm_target)
-        reason = _stop_reason(trace, len(trace), params.tol, params.max_iters,
-                              params.stall_window, params.stall_rtol)
+        reason = _stop_reason(trace, len(trace), params.tol, params.max_iters)
     return _Run(x, trace[-1], len(trace), trace, reason)
 
 
@@ -521,9 +520,7 @@ def altproj_solve(
     if instance.kind != "magnitude":
         raise ValueError("altproj_solve consumes magnitude measurements")
     t0 = time.perf_counter()
-    op = instance.operator
-    if isinstance(op, KRBDMatrix):
-        raise TypeError("altproj_solve expects a dense operator; densify or solve per block")
+    op = _dense(instance.operator, "altproj_solve")
     a = instance.measurements
     m, n = op.shape
     if float(np.linalg.norm(a)) == 0:
@@ -584,15 +581,9 @@ def unit_modulus_tune(
                        0, t0, params.tol)
     lsq = pinv_factor(b_mat)
 
-    def renorm(d: np.ndarray) -> np.ndarray:
-        absd = np.abs(d)
-        out = np.ones_like(d)
-        np.divide(d, absd, out=out, where=absd >= 1e-14)
-        return out
-
     def run(r: int) -> _Run:
-        d = renorm(complex_normal(generator(mix_seed(seed, r)), k))
-        return _project_run(b_mat, lsq, y_t, norm_y, d, params, renorm)
+        d = _unit_modulus(complex_normal(generator(mix_seed(seed, r)), k))
+        return _project_run(b_mat, lsq, y_t, norm_y, d, params, _unit_modulus)
 
     best, restarts_used = _best_restart(run, restarts, _TUNE_AGREE_RTOL)
     return _finish(best, restarts_used, t0, params.tol)
@@ -609,19 +600,17 @@ def _as_kind(instance: PRInstance, kind: str) -> PRInstance:
 
 
 def solve_pr(instance: PRInstance, spec: SolverSpec) -> tuple[np.ndarray, SolverReport]:
-    """Run the solver selected by ``spec``, converting the measurement kind.
+    """Run the PR solver selected by ``spec``, converting the measurement kind.
 
     Intensity-to-magnitude conversion takes the square root of the clamped
     intensities; magnitude-to-intensity squares (exact on noiseless data).
+    "unit_modulus_tuner" raises ValueError: it solves for unit-modulus
+    phase factors, not a signal, and runs only through
+    :func:`blockpr.pipeline.phase_tune`.
     """
     if spec.kind == "wf_truncated":
-        params = spec.params if isinstance(spec.params, WFParams) else WFParams()
-        return wf_solve(_as_kind(instance, "intensity"), params, spec.seed, spec.restarts)
-    params = spec.params if isinstance(spec.params, APParams) else APParams()
-    inst = _as_kind(instance, "magnitude")
+        return wf_solve(_as_kind(instance, "intensity"), spec.params, spec.seed, spec.restarts)
     if spec.kind == "alt_proj":
-        return altproj_solve(inst, params, spec.seed, spec.restarts)
-    op = inst.operator
-    if isinstance(op, KRBDMatrix):
-        raise TypeError("unit_modulus_tuner expects a dense system")
-    return unit_modulus_tune(op, inst.measurements, params, spec.seed, spec.restarts)
+        return altproj_solve(_as_kind(instance, "magnitude"), spec.params, spec.seed,
+                             spec.restarts)
+    raise ValueError(f"{spec.kind} is the phase tuner, not a PR solver; use phase_tune")

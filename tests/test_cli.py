@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from blockpr.bench import CSV_COLUMNS
 from blockpr.cli import main
 from blockpr.io import load_bpr1
 
@@ -164,3 +165,37 @@ def test_solve_malformed_bpr1_exit_code(instance_dir, capsys, damage):
     h.write_bytes(raw + b"\0\0" if damage == "trailing" else raw[:-1])
     assert run_cli(["solve", str(instance_dir)]) == 3
     assert "i/o error: " in capsys.readouterr().err
+
+
+def test_sweep_k_stdout_csv(capsys):
+    code = run_cli(["sweep-k", "--k-list", "1 2", "--n", "32", "--snr", "inf",
+                    "--trials", "1", "--seed", "2", "--format", "csv"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert [int(line.split(",")[1]) for line in lines[1:]] == [1, 2]
+
+
+def test_gen_without_out_exit_code(capsys):
+    assert run_cli(["gen", "--n", "16", "--k", "2"]) == 2
+    assert "gen requires --out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["tuner", "unit_modulus_tuner"])
+def test_solve_rejects_tuner_as_block_solver(instance_dir, capsys, name):
+    # the tuner used to solve each block and exit 0 with an NMSE near 2
+    assert run_cli(["solve", str(instance_dir), "--solver", name]) == 2
+    assert "--solver" in capsys.readouterr().err
+
+
+def test_config_rejects_tuner_as_block_solver(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 16, "k": 2, "solver": "tuner"}))
+    assert run_cli(["gen", "--config", str(path), "--out", str(tmp_path / "inst")]) == 2
+    assert "--solver" in capsys.readouterr().err
+    assert not (tmp_path / "inst").exists()
+
+
+def test_solve_accepts_tuner_as_tune_solver(instance_dir, capsys):
+    assert run_cli(["solve", str(instance_dir), "--tune-solver", "tuner"]) == 0
+    assert json.loads(capsys.readouterr().out)["k"] == 2

@@ -4,10 +4,8 @@ import pytest
 from blockpr.core import (
     BlockPartition,
     BlockPRInstance,
-    OffBlockMass,
     PRInstance,
     concat_blocks,
-    krbd_from_dense,
     make_krbd,
     split_signal,
 )
@@ -77,50 +75,14 @@ def test_krbd_blocks_are_immutable():
         k.blocks[0][0, 0] = 5.0
 
 
-def test_krbd_from_dense_identity():
-    part = BlockPartition.equal_blocks(4, 4, 2)
-    k = krbd_from_dense(np.eye(4, dtype=complex), part, tol=0.0)
-    assert np.array_equal(k.blocks[0], np.eye(2))
-    assert np.array_equal(k.blocks[1], np.eye(2))
-
-
-def test_krbd_from_dense_reports_offender():
-    part = BlockPartition.equal_blocks(4, 4, 2)
-    full = np.eye(4, dtype=complex)
-    full[0, 3] = 1.0
-    with pytest.raises(OffBlockMass) as ei:
-        krbd_from_dense(full, part, tol=0.0)
-    assert (ei.value.row, ei.value.col) == (0, 3)
-    assert ei.value.modulus == 1.0
-
-
-def test_krbd_from_dense_tolerates_small_mass():
-    # construct a 2-RBD matrix, perturb off-block by 1e-12, accept at tol 1e-9
-    rng = generator(42)
-    part = BlockPartition((4, 4), (2, 2))
-    full = complex_normal(rng, (8, 4))
-    mask = np.zeros((8, 4), dtype=bool)
-    for rs, cs in zip(part.row_slices(), part.col_slices()):
-        mask[rs, cs] = True
-    full[~mask] = 1e-12
-    k = krbd_from_dense(full, part, tol=1e-9)
-    for b, rs, cs in zip(k.blocks, part.row_slices(), part.col_slices()):
-        assert np.array_equal(b, full[rs, cs])
-    with pytest.raises(OffBlockMass):
-        krbd_from_dense(full, part, tol=0.0)
-
-
-def test_krbd_from_dense_shape_mismatch():
-    with pytest.raises(ValueError):
-        krbd_from_dense(np.eye(4, dtype=complex), BlockPartition((2, 2), (1, 1)))
-
-
 def test_krbd_dense_round_trip():
     rng = generator(7)
     k = make_krbd([complex_normal(rng, (3, 2)), complex_normal(rng, (5, 4))])
-    k2 = krbd_from_dense(k.to_dense(), k.partition, tol=0.0)
-    for b1, b2 in zip(k.blocks, k2.blocks):
-        assert np.array_equal(b1, b2)
+    full = k.to_dense()
+    assert full.shape == (8, 6)
+    assert np.array_equal(full[:3, :2], k.blocks[0])
+    assert np.array_equal(full[3:, 2:], k.blocks[1])
+    assert not full[:3, 2:].any() and not full[3:, :2].any()
 
 
 def test_split_signal_examples():

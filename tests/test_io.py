@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from blockpr.core import KRBDMatrix, make_krbd
-from blockpr.io import BPR1Error, load_bpr1, load_csv, save_bpr1, save_csv
+from blockpr.io import BPR1Error, load_bpr1, save_bpr1
 from blockpr.rng import complex_normal, generator
 
 
@@ -129,34 +129,3 @@ def test_extended_file_property(bpr1_path, obj, extra):
     bpr1_path.write_bytes(bpr1_path.read_bytes() + extra)
     with pytest.raises(BPR1Error, match=f"{len(extra)} trailing bytes"):
         load_bpr1(bpr1_path)
-
-
-def test_csv_round_trip_matrix(tmp_path):
-    m = complex_normal(generator(4), (3, 4))
-    save_csv(tmp_path / "m.csv", m)
-    back = load_csv(tmp_path / "m.csv")
-    assert np.array_equal(back, m)  # repr-precision floats round-trip exactly
-
-
-def test_csv_round_trip_vector(tmp_path):
-    v = np.array([1.5 + 2.25j, -3.0 - 0.5j, 0.0 + 0j])
-    save_csv(tmp_path / "v.csv", v)
-    text = (tmp_path / "v.csv").read_text()
-    assert text.splitlines()[0] == "1.5+2.25i"
-    assert text.splitlines()[1] == "-3.0-0.5i"
-    back = load_csv(tmp_path / "v.csv")
-    assert back.ndim == 1
-    assert np.array_equal(back, v)
-
-
-def test_csv_scientific_notation_round_trip(tmp_path):
-    v = np.array([1e-05 + 2e-07j, -3.25e8 - 1.5e-12j, 2.0 + 0.125j])
-    save_csv(tmp_path / "sci.csv", v)
-    back = load_csv(tmp_path / "sci.csv")
-    assert np.array_equal(back, v)
-
-
-def test_csv_rejects_garbage(tmp_path):
-    (tmp_path / "g.csv").write_text("1.0+2.0i,banana\n")
-    with pytest.raises(ValueError):
-        load_csv(tmp_path / "g.csv")

@@ -195,18 +195,21 @@ def test_wf_snr30_dense_median_nmse():
     assert np.median(errs) <= 1e-3
 
 
-def test_wf_on_krbd_operator_matches_densified():
-    # the block-diagonal matvec path and the densified path are the same math;
-    # recovery quality aside, the iterates must agree bitwise for equal seeds
+@pytest.mark.parametrize("solver", ["wf_solve", "spectral_init", "altproj_solve",
+                                    "pinv_factor"])
+def test_solvers_reject_krbd_operator(solver):
+    # the solvers run on one dense block at a time; a KRBD operator is an error
     rng = generator(14)
-    blocks = [complex_normal(rng, (48, 8)) for _ in range(2)]
-    op = make_krbd(blocks)
-    x = complex_normal(rng, 16)
-    b = measure(op, x, "intensity")
-    z1, r1 = wf_solve(PRInstance(op, b, "intensity"), seed=5)
-    z2, r2 = wf_solve(PRInstance(op.to_dense(), b, "intensity"), seed=5)
-    assert z1.tobytes() == z2.tobytes()
-    assert r1.final_residual == r2.final_residual
+    op = make_krbd([complex_normal(rng, (48, 8)) for _ in range(2)])
+    b = measure(op, complex_normal(rng, 16), "intensity")
+    calls = {
+        "wf_solve": lambda: wf_solve(PRInstance(op, b, "intensity"), seed=5),
+        "spectral_init": lambda: spectral_init(op, b, WFParams(), seed=5),
+        "altproj_solve": lambda: altproj_solve(PRInstance(op, np.sqrt(b), "magnitude")),
+        "pinv_factor": lambda: pinv_factor(op),
+    }
+    with pytest.raises(TypeError, match=f"{solver} expects a dense operator"):
+        calls[solver]()
 
 
 # ---------------------------------------------------------------- pinv_factor
@@ -402,6 +405,19 @@ def test_solver_spec_validation():
         WFParams(loss="huber")
     with pytest.raises(ValueError):
         APParams(init="warm")
+    # params must match the kind; a mismatch used to be dropped for the defaults
+    with pytest.raises(ValueError, match="wf_truncated takes WFParams, got APParams"):
+        SolverSpec("wf_truncated", params=APParams(max_iters=1))
+    for kind in ("alt_proj", "unit_modulus_tuner"):
+        with pytest.raises(ValueError, match=f"{kind} takes APParams, got WFParams"):
+            SolverSpec(kind, params=WFParams())
+    assert SolverSpec("alt_proj", params=APParams(max_iters=3)).params.max_iters == 3
+
+
+def test_solve_pr_rejects_the_tuner():
+    inst, _ = gaussian_instance(47, 4, 24, kind="magnitude")
+    with pytest.raises(ValueError, match="phase tuner"):
+        solve_pr(inst, SolverSpec("unit_modulus_tuner"))
 
 
 def test_altproj_and_tuner_deterministic():
