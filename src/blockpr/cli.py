@@ -83,7 +83,10 @@ def _parse_snr(s: str) -> float:
 
 
 def _int_list(s: str) -> list[int]:
-    return [int(tok) for tok in s.replace(",", " ").split()]
+    values = [int(tok) for tok in s.replace(",", " ").split()]
+    if not values:
+        raise argparse.ArgumentTypeError("must list at least one value")
+    return values
 
 
 def _positive_int(s: str) -> int:

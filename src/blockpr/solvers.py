@@ -7,10 +7,13 @@ Three solvers share one calling convention (measurements in, estimate and
   intensity measurements, spectrally initialized.
 * :func:`altproj_solve` -- alternating projections on magnitude
   measurements, alternating between the data modulus constraint and the
-  operator range via a precomputed least-squares factorization.
+  operator range. The operator is factored once by QR, H = Q R, and the
+  iteration runs in the coordinates of the orthonormal basis Q, so each
+  step reads Q alone and the triangular solve is made once per restart.
 * :func:`unit_modulus_tune` -- alternating projections specialized to
-  unit-modulus unknowns (the per-block phase factors), renormalizing each
-  entry to the unit circle after every update.
+  unit-modulus unknowns (the per-block phase factors), through the same
+  QR factorization, renormalizing each entry to the unit circle after
+  every update.
 
 Every solver is a pure function of (problem, params, seed): restarts use
 seeds derived with :func:`blockpr.rng.mix_seed`, the winner is the restart
@@ -23,9 +26,12 @@ residual reaches ``tol``, when it stalls (moved by less than 1e-3, relative,
 over the last 50 iterations; on noisy data ``tol`` is out of reach and the
 plateau is the answer), or at ``max_iters``, and
 :class:`SolverReport.stop_reason` says which. A non-finite residual raises
-:class:`Diverged`. The spectral start ends its power iteration once the unit
-iterate stops moving, and the phase tuner ends its restart loop once a
-restart's final residual agrees with the best before it.
+:class:`Diverged`; alternating projections carry a NaN or infinite image
+into the residual rather than mapping its phase to 1. The spectral start
+ends its power iteration once the unit iterate stops moving, and the phase
+tuner ends its restart loop once a restart's final residual agrees with the
+best before it. The report also splits the wall time into starting points,
+iterations and QR factorization.
 
 The solvers run on dense operators only: the pipeline hands them one
 diagonal block at a time, and a :class:`~blockpr.core.KRBDMatrix` raises
@@ -130,11 +136,17 @@ class WFParams:
 
 @dataclass(frozen=True)
 class APParams:
-    """Alternating-projections (and phase-tuner) parameters."""
+    """Alternating-projections (and phase-tuner) parameters.
+
+    ``init`` picks altproj_solve's start: "spectral" (the default) runs
+    :func:`spectral_init` on the squared magnitudes; "random" draws a
+    complex Gaussian vector and leaves about one block in eight at a wrong
+    answer. The tuner always starts from random unit-modulus phases.
+    """
 
     max_iters: int = 600
     tol: float = 1e-10
-    init: Literal["random", "spectral"] = "random"
+    init: Literal["random", "spectral"] = "spectral"
 
     def __post_init__(self):
         if self.max_iters <= 0 or self.tol <= 0:
@@ -179,7 +191,10 @@ class SolverReport:
     ``residuals`` traces the winning restart (entry 0 is the initial
     residual for wf_solve, and each subsequent entry follows one update).
     ``stop_reason`` says why the winning restart stopped: "tol", "stall"
-    or "max_iters".
+    or "max_iters". ``init_s``, ``iter_s`` and ``factor_s`` split the wall
+    time, summed over all restarts run: starting points (spectral or
+    random), iterations, and the QR factorization (0 for wf_solve). The
+    rest of ``wall_time_seconds`` is set-up and bookkeeping.
     """
 
     iterations: int
@@ -189,6 +204,9 @@ class SolverReport:
     converged: bool
     stop_reason: StopReason
     residuals: tuple[float, ...] = ()
+    init_s: float = 0.0
+    iter_s: float = 0.0
+    factor_s: float = 0.0
 
     def __post_init__(self):
         if self.final_residual < 0:
@@ -304,28 +322,38 @@ def _stop_reason(trace: list[float], iterations: int, tol: float,
     return None
 
 
-def _best_restart(run: Callable[[int], _Run], restarts: int,
-                  agree_rtol: float | None = None) -> tuple[_Run, int]:
-    """Run restarts 0, 1, ... and return (winner, restarts used).
+def _best_restart(start: Callable[[int], np.ndarray], iterate: Callable[[np.ndarray], _Run],
+                  restarts: int, agree_rtol: float | None = None
+                  ) -> tuple[_Run, int, float, float]:
+    """Run restarts 0, 1, ... and return (winner, restarts used, init_s, iter_s).
 
-    The winner has the lowest final residual, ties to the lowest restart
-    index. The loop ends after a restart that stopped on "tol" or, with
+    Restart r iterates from ``start(r)``; init_s and iter_s sum the seconds
+    spent in ``start`` and ``iterate`` over the restarts run. The winner
+    has the lowest final residual, ties to the lowest restart index. The
+    loop ends after a restart that stopped on "tol" or, with
     ``agree_rtol``, after one whose final residual agrees with the best
     before it to that relative tolerance.
     """
     best = None
+    init_s = iter_s = 0.0
     for r in range(restarts):
-        cur = run(r)
+        t0 = time.perf_counter()
+        x0 = start(r)
+        t1 = time.perf_counter()
+        cur = iterate(x0)
+        init_s += t1 - t0
+        iter_s += time.perf_counter() - t1
         agrees = (agree_rtol is not None and best is not None
                   and abs(cur.residual - best.residual) <= agree_rtol * best.residual)
         if best is None or cur.residual < best.residual:
             best = cur
         if cur.reason == "tol" or agrees:
-            return best, r + 1
-    return best, restarts
+            return best, r + 1, init_s, iter_s
+    return best, restarts, init_s, iter_s
 
 
-def _finish(best: _Run, restarts_used: int, t0: float, tol: float):
+def _finish(t0: float, tol: float, best: _Run, restarts_used: int, init_s: float = 0.0,
+            iter_s: float = 0.0, factor_s: float = 0.0):
     report = SolverReport(
         iterations=best.iterations,
         final_residual=best.residual,
@@ -334,6 +362,9 @@ def _finish(best: _Run, restarts_used: int, t0: float, tol: float):
         converged=best.residual <= tol,
         stop_reason=best.reason,
         residuals=tuple(best.trace),
+        init_s=init_s,
+        iter_s=iter_s,
+        factor_s=factor_s,
     )
     return best.x, report
 
@@ -381,11 +412,12 @@ def wf_solve(
             raise ValueError(f"z0 has length {len(z0)}, expected {n}")
         restarts = 1
 
-    def run(r: int) -> _Run:
+    def start(r: int) -> np.ndarray:
         if z0 is not None:
-            z = z0.copy()
-        else:
-            z = spectral_init(lin, b, params, mix_seed(seed, r))
+            return z0.copy()
+        return spectral_init(lin, b, params, mix_seed(seed, r))
+
+    def iterate(z: np.ndarray) -> _Run:
         v = lin.matvec(z)
         resid = float(np.linalg.norm(np.abs(v) - a)) / norm_a
         trace = [resid]
@@ -426,16 +458,17 @@ def wf_solve(
             trace.append(resid)
         return _Run(z, resid, iterations, trace, reason)
 
-    best, restarts_used = _best_restart(run, restarts)
-    return _finish(best, restarts_used, t0, params.tol)
+    return _finish(t0, params.tol, *_best_restart(start, iterate, restarts))
 
 
 class LeastSquaresOperator:
-    """Precomputed solver for min_z ||H z - v||_2 over a fixed tall matrix H.
+    """Economy QR factor H = Q R of a fixed tall matrix H, for least squares.
 
-    Backed by an economy QR factorization; raises :class:`RankDeficient`
-    when the R diagonal signals rank deficiency within 1e-10 relative
-    tolerance.
+    Keeps Q (orthonormal columns) and R (upper triangular) only. The
+    least-squares solution of min_z ||H z - v||_2 is z = R^-1 Q^H v, and
+    Q^H v is applied as conj(v^H Q), so no conjugate-transposed copy of Q
+    is kept. Raises :class:`RankDeficient` when the R diagonal signals rank
+    deficiency within 1e-10 relative tolerance.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -444,20 +477,25 @@ class LeastSquaresOperator:
             raise ValueError("expected a 2-D matrix")
         if h.shape[0] < h.shape[1]:
             raise ValueError(f"need rows >= cols, got {h.shape}")
-        self.matrix = h
         q, r = scipy.linalg.qr(h, mode="economic", check_finite=False)
         diag = np.abs(np.diagonal(r))
         if diag.min() <= 1e-10 * diag.max():
             raise RankDeficient(
                 f"matrix of shape {h.shape} is rank-deficient within tolerance"
             )
-        self._qh = np.ascontiguousarray(q.conj().T)
-        self._r = r
+        self.q = q
+        self.r = r
+
+    def coords(self, v: np.ndarray) -> np.ndarray:
+        """Q^H v: the Q-basis coordinates of v's projection onto the range of H."""
+        return (v.conj() @ self.q).conj()
+
+    def from_coords(self, u: np.ndarray) -> np.ndarray:
+        """R^-1 u: the z with H z = Q u."""
+        return scipy.linalg.solve_triangular(self.r, u, lower=False, check_finite=False)
 
     def solve(self, v: np.ndarray) -> np.ndarray:
-        return scipy.linalg.solve_triangular(
-            self._r, self._qh @ v, lower=False, check_finite=False
-        )
+        return self.from_coords(self.coords(v))
 
 
 def pinv_factor(op: np.ndarray) -> LeastSquaresOperator:
@@ -466,9 +504,10 @@ def pinv_factor(op: np.ndarray) -> LeastSquaresOperator:
 
 
 def _phases(v: np.ndarray) -> np.ndarray:
+    """v / |v| entrywise, with phase(0) = 1; a NaN or infinite entry gives NaN."""
     absv = np.abs(v)
     out = np.ones_like(v)
-    np.divide(v, absv, out=out, where=absv > 0)  # phase(0) = 1 convention
+    np.divide(v, absv, out=out, where=absv != 0)  # NaN != 0, so NaN propagates
     return out
 
 
@@ -485,20 +524,36 @@ def _project_run(mat: np.ndarray, lsq: LeastSquaresOperator, target: np.ndarray,
                  project: Callable[[np.ndarray], np.ndarray] | None = None) -> _Run:
     """One alternating-projections run from ``x``, ended by the stop policy.
 
-    Each iteration projects ``mat @ x`` onto the modulus set |.| = target,
-    maps it back by least squares and, if given, applies ``project``.
+    Each iteration projects the image ``mat @ x`` onto the modulus set
+    |.| = target, then back onto the range of mat = Q R. Without
+    ``project`` the run iterates in the Q basis: with u = R x the image is
+    Q u, and the range projection is u <- Q^H (target * phase(Q u)), so a
+    step reads Q alone; x = R^-1 u is solved once, when the run ends. With
+    ``project``, each step returns to x = R^-1 u, applies ``project`` and
+    images the result through ``mat``.
     """
     mx = mat @ x
     trace = []
     reason = None
     while reason is None:
-        x = lsq.solve(target * _phases(mx))
-        if project is not None:
-            x = project(x)
-        mx = mat @ x
+        u = lsq.coords(target * _phases(mx))
+        if project is None:
+            mx = lsq.q @ u
+        else:
+            x = project(lsq.from_coords(u))
+            mx = mat @ x
         trace.append(float(np.linalg.norm(np.abs(mx) - target)) / norm_target)
         reason = _stop_reason(trace, len(trace), params.tol, params.max_iters)
+    if project is None:
+        x = lsq.from_coords(u)
     return _Run(x, trace[-1], len(trace), trace, reason)
+
+
+def _timed_factor(op: np.ndarray) -> tuple[LeastSquaresOperator, float]:
+    """:func:`pinv_factor` of ``op`` and the seconds it took."""
+    t0 = time.perf_counter()
+    lsq = pinv_factor(op)
+    return lsq, time.perf_counter() - t0
 
 
 def altproj_solve(
@@ -511,10 +566,13 @@ def altproj_solve(
     """Alternating projections on magnitude measurements.
 
     Iterates v <- a * phase(H z), z <- argmin ||H z - v|| until the
-    shared stop policy ends the run (module docstring). The residual
-    sequence is non-increasing (each step projects onto the modulus set,
-    then onto the operator range). An all-zero ``a`` short-circuits to
-    z = 0, converged.
+    shared stop policy ends the run (module docstring). H is factored once
+    by QR, H = Q R, and the iteration runs in the Q basis (u = R z, see
+    :func:`_project_run`), so each step reads Q alone and z = R^-1 u is
+    solved once per restart. The residual sequence is non-increasing (each
+    step projects onto the modulus set, then onto the operator range). A
+    NaN or infinite iterate raises :class:`Diverged`. An all-zero ``a``
+    short-circuits to z = 0, converged.
     """
     params = params or APParams()
     if instance.kind != "magnitude":
@@ -524,9 +582,9 @@ def altproj_solve(
     a = instance.measurements
     m, n = op.shape
     if float(np.linalg.norm(a)) == 0:
-        return _finish(_Run(np.zeros(n, dtype=np.complex128), 0.0, 0, [0.0], "tol"),
-                       0, t0, params.tol)
-    lsq = pinv_factor(op)
+        return _finish(t0, params.tol,
+                       _Run(np.zeros(n, dtype=np.complex128), 0.0, 0, [0.0], "tol"), 0)
+    lsq, factor_s = _timed_factor(op)
     norm_a = float(np.linalg.norm(a))
 
     if z0 is not None:
@@ -535,17 +593,17 @@ def altproj_solve(
             raise ValueError(f"z0 has length {len(z0)}, expected {n}")
         restarts = 1
 
-    def run(r: int) -> _Run:
+    def start(r: int) -> np.ndarray:
         if z0 is not None:
-            z = z0.copy()
-        elif params.init == "spectral":
-            z = spectral_init(op, a * a, WFParams(), mix_seed(seed, r))
-        else:
-            z = complex_normal(generator(mix_seed(seed, r)), n)
+            return z0.copy()
+        if params.init == "spectral":
+            return spectral_init(op, a * a, WFParams(), mix_seed(seed, r))
+        return complex_normal(generator(mix_seed(seed, r)), n)
+
+    def iterate(z: np.ndarray) -> _Run:
         return _project_run(op, lsq, a, norm_a, z, params)
 
-    best, restarts_used = _best_restart(run, restarts)
-    return _finish(best, restarts_used, t0, params.tol)
+    return _finish(t0, params.tol, *_best_restart(start, iterate, restarts), factor_s)
 
 
 def unit_modulus_tune(
@@ -557,13 +615,14 @@ def unit_modulus_tune(
 ) -> tuple[np.ndarray, SolverReport]:
     """Recover unit-modulus phase factors d from y_t = |B d|.
 
-    Alternating projections as in :func:`altproj_solve`, but after every
-    least-squares update each entry is pulled back to the unit circle
-    (entries with modulus < 1e-14 reset to 1), so the output always has
-    |d_i| = 1. The restart loop also ends once a restart's final residual
-    agrees with the best before it to 1e-6 (relative): on noisy data
-    restarts land on the same floor, and the cap of 50 only matters when
-    they do not. A zero y_t returns all-ones, flagged non-converged.
+    Alternating projections as in :func:`altproj_solve`, through the same
+    QR factor of B, but after every least-squares update each entry is
+    pulled back to the unit circle (entries with modulus < 1e-14 reset to
+    1), so the output always has |d_i| = 1. The restart loop also ends
+    once a restart's final residual agrees with the best before it to 1e-6
+    (relative): on noisy data restarts land on the same floor, and the cap
+    of 50 only matters when they do not. A zero y_t returns all-ones,
+    flagged non-converged.
     """
     params = params or APParams()
     b_mat = np.asarray(tuning_matrix, dtype=np.complex128)
@@ -577,16 +636,18 @@ def unit_modulus_tune(
     norm_y = float(np.linalg.norm(y_t))
     if norm_y == 0:
         # every d fits a zero y_t equally badly: nothing to iterate on
-        return _finish(_Run(np.ones(k, dtype=np.complex128), math.inf, 0, [], "stall"),
-                       0, t0, params.tol)
-    lsq = pinv_factor(b_mat)
+        return _finish(t0, params.tol,
+                       _Run(np.ones(k, dtype=np.complex128), math.inf, 0, [], "stall"), 0)
+    lsq, factor_s = _timed_factor(b_mat)
 
-    def run(r: int) -> _Run:
-        d = _unit_modulus(complex_normal(generator(mix_seed(seed, r)), k))
+    def start(r: int) -> np.ndarray:
+        return _unit_modulus(complex_normal(generator(mix_seed(seed, r)), k))
+
+    def iterate(d: np.ndarray) -> _Run:
         return _project_run(b_mat, lsq, y_t, norm_y, d, params, _unit_modulus)
 
-    best, restarts_used = _best_restart(run, restarts, _TUNE_AGREE_RTOL)
-    return _finish(best, restarts_used, t0, params.tol)
+    return _finish(t0, params.tol, *_best_restart(start, iterate, restarts, _TUNE_AGREE_RTOL),
+                   factor_s)
 
 
 def _as_kind(instance: PRInstance, kind: str) -> PRInstance:

@@ -199,3 +199,12 @@ def test_config_rejects_tuner_as_block_solver(tmp_path, capsys):
 def test_solve_accepts_tuner_as_tune_solver(instance_dir, capsys):
     assert run_cli(["solve", str(instance_dir), "--tune-solver", "tuner"]) == 0
     assert json.loads(capsys.readouterr().out)["k"] == 2
+
+
+@pytest.mark.parametrize("command, flag", [("sweep-n", "--n-list"), ("sweep-k", "--k-list"),
+                                           ("table1", "--n-list")])
+def test_sweep_rejects_empty_list(capsys, command, flag):
+    with pytest.raises(SystemExit) as ei:
+        run_cli([command, "--n", "32", flag, ""])
+    assert ei.value.code == 2
+    assert f"argument {flag}: must list at least one value" in capsys.readouterr().err
