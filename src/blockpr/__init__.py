@@ -13,7 +13,6 @@ from .bench import (
     TrialRecord,
     emit_report,
     gen_instance,
-    load_report,
     run_trial,
     select_k,
     sweep,

@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import BlockPRInstance, PRInstance, make_krbd
 from .forward import NoiseSpec, add_noise_intensity, measure, nmse
-from .pipeline import block_pr_solve, block_seed, tuning_seed
+from .pipeline import block_pr_solve, block_seed
 from .rng import complex_normal, generator, mix_seed
 from .solvers import SolverSpec, solve_pr
 
@@ -38,7 +38,6 @@ __all__ = [
     "TrialRecord",
     "emit_report",
     "gen_instance",
-    "load_report",
     "run_trial",
     "select_k",
     "sweep",
@@ -110,12 +109,10 @@ class ExperimentConfig:
     trials: int = 100
     seed: int = 0
     solver: SolverSpec = field(default_factory=lambda: SolverSpec("wf_truncated"))
-    tune_solver: SolverSpec | None = None
     matrix_kind: Literal["gaussian", "binary01"] = "gaussian"
     noisy_tuning: bool = True
     parallelism: int | None = None
     output_path: str | None = None
-    baseline_include_tuning_rows: bool = False
 
     def __post_init__(self):
         if self.n < 1:
@@ -206,28 +203,20 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int,
     """Generate an instance, run the block pipeline, optionally time the baseline.
 
     The monolithic baseline runs the same base solver on the densified
-    block-diagonal matrix (the extra tuning rows are excluded unless
-    ``cfg.baseline_include_tuning_rows``), seeded as the one-block case so
-    K = 1 comparisons are exact.
+    block-diagonal matrix (without the tuning rows), seeded as the one-block
+    case so K = 1 comparisons are exact.
     """
     instance, x = gen_instance(cfg, trial_seed)
     block_spec = replace(cfg.solver, seed=trial_seed)
-    tune_spec = cfg.tune_solver
-    if tune_spec is not None:
-        tune_spec = replace(tune_spec, seed=tuning_seed(trial_seed))
-    x_hat, out = block_pr_solve(instance, block_spec, tune_spec, cfg.parallelism)
+    x_hat, out = block_pr_solve(instance, block_spec, None, cfg.parallelism)
     err = nmse(x, x_hat)
 
     monolithic_s = None
     speedup = None
     if compare_monolithic:
         dense = instance.base.operator.to_dense()
-        meas = instance.base.measurements
-        if cfg.baseline_include_tuning_rows:
-            dense = np.vstack([dense, instance.tuning_matrix])
-            meas = np.concatenate([meas, instance.tuning_measurements])
         dense.setflags(write=False)  # avoid a second copy inside PRInstance
-        mono = PRInstance(dense, meas, instance.base.kind, cfg.snr_db)
+        mono = PRInstance(dense, instance.base.measurements, instance.base.kind, cfg.snr_db)
         mono_spec = replace(cfg.solver, seed=block_seed(trial_seed, 0))
         t0 = time.perf_counter()
         solve_pr(mono, mono_spec)
@@ -372,19 +361,3 @@ def _write_report(table: SweepTable, format: Literal["csv", "json"], fh: TextIO)
     else:
         raise ValueError(f"unknown format {format!r}")
 
-
-def load_report(path: str | Path) -> SweepTable:
-    """Read back a JSON report written by :func:`emit_report`."""
-    with Path(path).open() as fh:
-        records = json.load(fh)
-    rows = []
-    for rec in records:
-        rows.append(SweepRow(
-            n=rec["N"], k=rec["K"], alpha=rec["alpha"], beta=rec["beta"],
-            snr_db=rec["snr_db"], trials=rec["trials"],
-            nmse_median=rec["nmse_median"], nmse_mean=rec["nmse_mean"],
-            blocking_s=rec["blocking_s"], tuning_s=rec["tuning_s"],
-            total_s=rec["total_s"], monolithic_s=rec["monolithic_s"],
-            speedup=rec["speedup"], error=rec.get("error"),
-        ))
-    return SweepTable(tuple(rows))

@@ -9,10 +9,12 @@ Subcommands:
 * ``table1``   auto-K speedup table (block pipeline vs densified baseline)
 
 Flags mirror the ExperimentConfig fields; ``--config FILE`` loads a JSON
-config with the same field names, and explicit flags override it. ``solve``
-reads the problem from the instance directory and takes only the solver
-flags (``--seed``, ``--solver``, ``--tune-solver``, ``--restarts``,
-``--parallelism``, ``--out``); any other flag is an error.
+config with the same field names, and explicit flags override it. Each
+subcommand takes only the flags it reads; any other flag is an error.
+``gen`` takes the instance flags, ``solve`` (its instance directory fixes
+the problem) only the solver flags, and the sweeps and ``table1`` both,
+plus ``--trials`` and ``--format``; all take ``--seed`` and ``--out``. The
+phase tuner has no flag: it is always the unit-modulus tuner.
 
 Exit codes: 0 success, 1 solver failure, 2 invalid config or flag, 3 I/O error
 or malformed BPR1 file.
@@ -47,33 +49,39 @@ _SOLVER_ALIASES = {
     "ap": "alt_proj",
     "altproj": "alt_proj",
     "alt_proj": "alt_proj",
-    "tuner": "unit_modulus_tuner",
-    "unit_modulus_tuner": "unit_modulus_tuner",
+}
+_SOLVER_KEYS = ("kind", "params", "restarts")
+# flags a command sets itself, with where it takes them from
+_SET_BY_COMMAND = {
+    "sweep-n": {"n": "--n-list"},
+    "sweep-k": {"k": "--k-list"},
+    "table1": {"n": "--n-list", "k": "auto-K"},
 }
 
 
-def _solver_spec(value, default_kind="wf_truncated") -> SolverSpec:
-    """Build a SolverSpec from a CLI string or a config-file object."""
+def _solver_kind(name: str) -> str:
+    try:
+        return _SOLVER_ALIASES[name.lower()]
+    except KeyError:
+        raise ValueError(f"--solver: unknown solver {name!r}; "
+                         f"choose one of {', '.join(_SOLVER_ALIASES)}") from None
+
+
+def _solver_spec(value) -> SolverSpec:
+    """The block solver's spec from ``--solver`` or a config-file ``solver`` object."""
     if value is None:
-        return SolverSpec(default_kind)
-    if isinstance(value, SolverSpec):
-        return value
+        return SolverSpec("wf_truncated")
     if isinstance(value, str):
-        return SolverSpec(_SOLVER_ALIASES[value.lower()])
-    kind = _SOLVER_ALIASES[value.get("kind", default_kind).lower()]
+        return SolverSpec(_solver_kind(value))
+    unknown = set(value) - set(_SOLVER_KEYS)
+    if unknown:
+        raise ValueError(f"unknown solver fields: {sorted(unknown)}; "
+                         f"expected {', '.join(_SOLVER_KEYS)}")
+    kind = _solver_kind(value.get("kind", "wf"))
     params = value.get("params")
     if params is not None:
         params = WFParams(**params) if kind == "wf_truncated" else APParams(**params)
     return SolverSpec(kind, params=params, restarts=int(value.get("restarts", 1)))
-
-
-def _block_solver_spec(value) -> SolverSpec:
-    """The ``--solver`` (or config ``solver``) spec; the phase tuner is not a block solver."""
-    spec = _solver_spec(value)
-    if spec.kind == "unit_modulus_tuner":
-        raise ValueError("--solver: the tuner only tunes block phases (--tune-solver); "
-                         "use wf or altproj")
-    return spec
 
 
 def _parse_snr(s: str) -> float:
@@ -96,33 +104,44 @@ def _positive_int(s: str) -> int:
     return value
 
 
-def _add_solver_flags(p: argparse.ArgumentParser):
+def _add_seed_out_flags(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--solver", help="base solver: wf|altproj")
-    p.add_argument("--tune-solver", dest="tune_solver", help="tuning solver: tuner|altproj")
-    p.add_argument("--restarts", type=int, help="base solver restarts")
-    p.add_argument("--parallelism", type=_positive_int, help="max concurrent block solves")
     p.add_argument("--out", help="output path")
 
 
-def _add_config_flags(p: argparse.ArgumentParser):
-    _add_solver_flags(p)
+def _add_solver_flags(p: argparse.ArgumentParser):
+    p.add_argument("--solver", help="base solver: wf|altproj")
+    p.add_argument("--restarts", type=int, help="base solver restarts")
+    p.add_argument("--parallelism", type=_positive_int, help="max concurrent block solves")
+
+
+def _add_instance_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="JSON config file; flags override its values")
     p.add_argument("--n", type=int, help="signal length N")
     p.add_argument("--k", help="number of blocks, or 'auto'")
     p.add_argument("--alpha", type=float, help="per-block oversampling M/N (default 6)")
     p.add_argument("--beta", type=float, help="tuning rows per block, L = beta*K (default 20)")
     p.add_argument("--snr", help="intensity SNR in dB, or 'inf' (default 30)")
-    p.add_argument("--trials", type=int, help="trials per point")
     p.add_argument("--matrix-kind", dest="matrix_kind", choices=["gaussian", "binary01"])
     p.add_argument("--noisy-tuning", dest="noisy_tuning", action="store_true", default=None)
     p.add_argument("--clean-tuning", dest="noisy_tuning", action="store_false")
-    p.add_argument("--baseline-include-tuning-rows", dest="baseline_include_tuning_rows",
-                   action="store_true", default=None)
+
+
+def _add_experiment_flags(p: argparse.ArgumentParser):
+    """The sweeps' and table1's flags: instance, seed/out and solver flags, trials, format."""
+    _add_instance_flags(p)
+    _add_seed_out_flags(p)
+    _add_solver_flags(p)
+    p.add_argument("--trials", type=int, help="trials per point")
     p.add_argument("--format", choices=["csv", "json"], default=None)
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The ExperimentConfig of a gen, sweep or table1 command line."""
+    flags = vars(args)  # gen has no solver, trials or parallelism flags
+    for name, source in _SET_BY_COMMAND.get(args.command, {}).items():
+        if flags.get(name) is not None:
+            raise ValueError(f"--{name}: {args.command} takes it from {source}")
     raw: dict = {}
     if args.config:
         with open(args.config) as fh:
@@ -137,27 +156,23 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
         "alpha": args.alpha,
         "beta": args.beta,
         "snr_db": _parse_snr(args.snr) if args.snr is not None else None,
-        "trials": args.trials,
+        "trials": flags.get("trials"),
         "seed": args.seed,
         "matrix_kind": args.matrix_kind,
-        "parallelism": args.parallelism,
+        "parallelism": flags.get("parallelism"),
         "noisy_tuning": args.noisy_tuning,
-        "baseline_include_tuning_rows": args.baseline_include_tuning_rows,
         "output_path": args.out,
     }
     raw.update({k: v for k, v in overrides.items() if v is not None})
-    if "n" not in raw and getattr(args, "n_list", None):
+    if "n" not in raw and flags.get("n_list"):
         raw["n"] = args.n_list[0]  # sweep points override n anyway
     if "n" not in raw:
         raise ValueError("signal size is required (--n or config file)")
-    solver = _block_solver_spec(args.solver if args.solver is not None else raw.get("solver"))
-    if args.restarts is not None:
-        solver = dataclasses.replace(solver, restarts=args.restarts)
+    solver_flag = flags.get("solver")
+    solver = _solver_spec(solver_flag if solver_flag is not None else raw.get("solver"))
+    if flags.get("restarts") is not None:
+        solver = dataclasses.replace(solver, restarts=flags["restarts"])
     raw["solver"] = solver
-    tune_raw = args.tune_solver if args.tune_solver is not None else raw.get("tune_solver")
-    raw["tune_solver"] = (
-        _solver_spec(tune_raw, default_kind="unit_modulus_tuner") if tune_raw is not None else None
-    )
     known = {f.name for f in dataclasses.fields(ExperimentConfig)}
     unknown = set(raw) - known
     if unknown:
@@ -203,9 +218,9 @@ def _load_instance(path: Path) -> tuple[BlockPRInstance, np.ndarray | None]:
     return instance, x
 
 
-def _cmd_solve(args, cfg_solver, tune_solver, parallelism) -> int:
+def _cmd_solve(args, cfg_solver, parallelism) -> int:
     instance, x = _load_instance(Path(args.instance))
-    x_hat, out = block_pr_solve(instance, cfg_solver, tune_solver, parallelism)
+    x_hat, out = block_pr_solve(instance, cfg_solver, None, parallelism)
     report = {
         "n": instance.base.operator.shape[1],
         "k": instance.partition.n_blocks,
@@ -248,27 +263,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # gen solves nothing, so it takes no solver, trials or format flags
     p_gen = sub.add_parser("gen", help="generate an instance in BPR1 format")
-    _add_config_flags(p_gen)
+    _add_instance_flags(p_gen)
+    _add_seed_out_flags(p_gen)
 
     # the instance directory fixes the problem, so solve takes no experiment flags
     p_solve = sub.add_parser("solve", help="solve a generated instance")
     p_solve.add_argument("instance", help="instance directory written by gen")
+    _add_seed_out_flags(p_solve)
     _add_solver_flags(p_solve)
 
     p_sn = sub.add_parser("sweep-n", help="sweep over signal sizes")
     p_sn.add_argument("--n-list", required=True, type=_int_list)
     p_sn.add_argument("--compare-monolithic", action="store_true")
-    _add_config_flags(p_sn)
+    _add_experiment_flags(p_sn)
 
     p_sk = sub.add_parser("sweep-k", help="sweep over block counts")
     p_sk.add_argument("--k-list", required=True, type=_int_list)
     p_sk.add_argument("--compare-monolithic", action="store_true")
-    _add_config_flags(p_sk)
+    _add_experiment_flags(p_sk)
 
     p_t1 = sub.add_parser("table1", help="auto-K speedup table vs monolithic baseline")
     p_t1.add_argument("--n-list", required=True, type=_int_list)
-    _add_config_flags(p_t1)
+    _add_experiment_flags(p_t1)
 
     return parser
 
@@ -277,12 +295,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "solve":
-            solver = _block_solver_spec(args.solver)
+            solver = _solver_spec(args.solver)
             if args.restarts is not None:
                 solver = dataclasses.replace(solver, restarts=args.restarts)
             if args.seed is not None:
                 solver = dataclasses.replace(solver, seed=args.seed)
-            tune = _solver_spec(args.tune_solver, "unit_modulus_tuner") if args.tune_solver else None
             parallelism = args.parallelism
         else:
             cfg = build_config(args)
@@ -299,7 +316,7 @@ def main(argv=None) -> int:
         if args.command == "gen":
             return _cmd_gen(args, cfg)
         if args.command == "solve":
-            return _cmd_solve(args, solver, tune, parallelism)
+            return _cmd_solve(args, solver, parallelism)
         if args.command == "sweep-n":
             table = sweep(cfg, n_list=args.n_list, compare_monolithic=args.compare_monolithic)
             return _emit(args, cfg, table)

@@ -90,15 +90,6 @@ class BlockPartition:
         if any(m <= 0 for m in self.row_sizes) or any(n <= 0 for n in self.col_sizes):
             raise ValueError("block sizes must be positive")
 
-    @classmethod
-    def equal_blocks(cls, rows: int, cols: int, k: int) -> "BlockPartition":
-        """Equal-size partition; requires k to divide both dimensions exactly."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if rows % k or cols % k:
-            raise ValueError(f"{rows}x{cols} is not divisible into {k} equal blocks")
-        return cls((rows // k,) * k, (cols // k,) * k)
-
     @property
     def n_blocks(self) -> int:
         return len(self.row_sizes)
@@ -286,7 +277,3 @@ class BlockPRInstance:
     @property
     def partition(self) -> BlockPartition:
         return self.base.operator.partition
-
-    @property
-    def n_tuning_rows(self) -> int:
-        return self.tuning_matrix.shape[0]

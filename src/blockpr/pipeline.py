@@ -53,7 +53,7 @@ import numpy as np
 from .core import BlockPartition, BlockPRInstance, PRInstance, concat_blocks
 from .forward import magnitudes_from_intensity
 from .rng import mix_seed
-from .solvers import SolverReport, SolverSpec, _unit_modulus, solve_pr, unit_modulus_tune
+from .solvers import SolverReport, SolverSpec, solve_pr, unit_modulus_tune
 
 __all__ = [
     "BlockSolveError",
@@ -285,13 +285,12 @@ def phase_tune(
 ) -> tuple[np.ndarray, SolverReport]:
     """Solve the K-dimensional tuning problem y_t = |B d| for unit-modulus d.
 
-    Delegates to the configured solver; non-constrained solvers get their
-    output renormalized entrywise so the returned d is always unit-modulus.
+    Runs :func:`~blockpr.solvers.unit_modulus_tune` with the spec's params,
+    seed and restarts; any kind but "unit_modulus_tuner" raises ValueError.
     """
-    if spec.kind == "unit_modulus_tuner":
-        return unit_modulus_tune(compressed, y_t, spec.params, spec.seed, spec.restarts)
-    d, report = solve_pr(PRInstance(compressed, y_t, "magnitude"), spec)
-    return _unit_modulus(d), report
+    if spec.kind != "unit_modulus_tuner":
+        raise ValueError(f"phase_tune runs the unit-modulus tuner only, got {spec.kind!r}")
+    return unit_modulus_tune(compressed, y_t, spec.params, spec.seed, spec.restarts)
 
 
 def merge(block_estimates, d_hat: np.ndarray) -> np.ndarray:
@@ -320,8 +319,9 @@ def block_pr_solve(
     do not call with ``parallelism > 1`` while other threads are running.
     With K = 1 the tuning step is vacuous and is skipped (d = [1]), making the
     pipeline bitwise identical to the base solver on the dense problem.
-    ``tune_spec`` defaults to the unit-modulus tuner with at most 50
-    restarts and a seed derived from the block spec's master seed.
+    The tuning step always runs the unit-modulus tuner; ``tune_spec`` only
+    carries its params, seed and restarts. None means the defaults: at most
+    50 restarts, seeded by ``tuning_seed(block_spec.seed)``.
     """
     part = instance.partition
     k = part.n_blocks

@@ -138,21 +138,20 @@ class WFParams:
 class APParams:
     """Alternating-projections (and phase-tuner) parameters.
 
-    ``init`` picks altproj_solve's start: "spectral" (the default) runs
-    :func:`spectral_init` on the squared magnitudes; "random" draws a
-    complex Gaussian vector and leaves about one block in eight at a wrong
-    answer. The tuner always starts from random unit-modulus phases.
+    altproj_solve starts from :func:`spectral_init` on the squared
+    magnitudes; ``init`` accepts only "spectral". The tuner ignores
+    ``init`` and starts from random unit-modulus phases.
     """
 
     max_iters: int = 600
     tol: float = 1e-10
-    init: Literal["random", "spectral"] = "spectral"
+    init: Literal["spectral"] = "spectral"
 
     def __post_init__(self):
         if self.max_iters <= 0 or self.tol <= 0:
             raise ValueError("max_iters and tol must be positive")
-        if self.init not in ("random", "spectral"):
-            raise ValueError(f"unknown init {self.init!r}")
+        if self.init != "spectral":
+            raise ValueError(f"unknown init {self.init!r}; altproj_solve starts spectrally")
 
 
 SolverParams = Union[WFParams, APParams]
@@ -494,9 +493,6 @@ class LeastSquaresOperator:
         """R^-1 u: the z with H z = Q u."""
         return scipy.linalg.solve_triangular(self.r, u, lower=False, check_finite=False)
 
-    def solve(self, v: np.ndarray) -> np.ndarray:
-        return self.from_coords(self.coords(v))
-
 
 def pinv_factor(op: np.ndarray) -> LeastSquaresOperator:
     """Factor a tall dense matrix once for repeated least-squares solves."""
@@ -565,8 +561,9 @@ def altproj_solve(
 ) -> tuple[np.ndarray, SolverReport]:
     """Alternating projections on magnitude measurements.
 
-    Iterates v <- a * phase(H z), z <- argmin ||H z - v|| until the
-    shared stop policy ends the run (module docstring). H is factored once
+    Starts from :func:`spectral_init` on a^2 (or from ``z0``) and iterates
+    v <- a * phase(H z), z <- argmin ||H z - v|| until the shared stop
+    policy ends the run (module docstring). H is factored once
     by QR, H = Q R, and the iteration runs in the Q basis (u = R z, see
     :func:`_project_run`), so each step reads Q alone and z = R^-1 u is
     solved once per restart. The residual sequence is non-increasing (each
@@ -596,9 +593,7 @@ def altproj_solve(
     def start(r: int) -> np.ndarray:
         if z0 is not None:
             return z0.copy()
-        if params.init == "spectral":
-            return spectral_init(op, a * a, WFParams(), mix_seed(seed, r))
-        return complex_normal(generator(mix_seed(seed, r)), n)
+        return spectral_init(op, a * a, WFParams(), mix_seed(seed, r))
 
     def iterate(z: np.ndarray) -> _Run:
         return _project_run(op, lsq, a, norm_a, z, params)

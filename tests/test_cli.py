@@ -90,8 +90,7 @@ def test_invalid_config_exit_code():
     assert run_cli(["gen", "--out", "/tmp/x"]) == 2  # no signal size at all
     assert run_cli(["sweep-n", "--n-list", "32", "--alpha", "-2"]) == 2
     # unknown solver name
-    assert run_cli(["gen", "--n", "16", "--k", "2", "--solver", "magic",
-                    "--out", "/tmp/x"]) == 2
+    assert run_cli(["sweep-n", "--n-list", "32", "--solver", "magic"]) == 2
 
 
 def test_missing_config_file_is_io_error():
@@ -196,9 +195,52 @@ def test_config_rejects_tuner_as_block_solver(tmp_path, capsys):
     assert not (tmp_path / "inst").exists()
 
 
-def test_solve_accepts_tuner_as_tune_solver(instance_dir, capsys):
-    assert run_cli(["solve", str(instance_dir), "--tune-solver", "tuner"]) == 0
-    assert json.loads(capsys.readouterr().out)["k"] == 2
+def test_unknown_solver_names_flag_and_choices(capsys):
+    assert run_cli(["sweep-n", "--n-list", "32", "--solver", "foo"]) == 2
+    err = capsys.readouterr().err
+    assert "--solver: unknown solver 'foo'" in err
+    assert "wf, wf_truncated, ap, altproj, alt_proj" in err
+
+
+def test_config_rejects_unknown_solver_keys(tmp_path, capsys):
+    # these keys were silently dropped, leaving seed 0 and one restart
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 16, "k": 2,
+                                "solver": {"kind": "wf", "seed": 9, "restart": 4}}))
+    assert run_cli(["gen", "--config", str(path), "--out", str(tmp_path / "inst")]) == 2
+    assert "unknown solver fields: ['restart', 'seed']" in capsys.readouterr().err
+    assert not (tmp_path / "inst").exists()
+
+
+@pytest.mark.parametrize("value", ["tuner", "wf", "altproj"])
+@pytest.mark.parametrize("command", ["solve", "sweep-n"])
+def test_tune_solver_flag_is_gone(instance_dir, capsys, command, value):
+    # the phase tuner is always the unit-modulus tuner
+    args = [str(instance_dir)] if command == "solve" else ["--n-list", "32"]
+    with pytest.raises(SystemExit) as ei:
+        run_cli([command, *args, "--tune-solver", value])
+    assert ei.value.code == 2
+    assert "unrecognized arguments: --tune-solver" in capsys.readouterr().err
+
+
+def test_config_rejects_tune_solver(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 16, "k": 2, "tune_solver": "tuner"}))
+    assert run_cli(["gen", "--config", str(path), "--out", str(tmp_path / "inst")]) == 2
+    assert "unknown config fields: ['tune_solver']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [
+    ["--solver", "wf"], ["--restarts", "2"], ["--parallelism", "2"], ["--trials", "2"],
+    ["--format", "json"], ["--tune-solver", "tuner"], ["--baseline-include-tuning-rows"],
+])
+def test_gen_rejects_solver_and_report_flags(tmp_path, capsys, flag):
+    # gen solves nothing; it must not accept and drop these
+    with pytest.raises(SystemExit) as ei:
+        run_cli(["gen", "--n", "16", "--k", "2", "--out", str(tmp_path / "inst"), *flag])
+    assert ei.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not (tmp_path / "inst").exists()
 
 
 @pytest.mark.parametrize("command, flag", [("sweep-n", "--n-list"), ("sweep-k", "--k-list"),
@@ -208,3 +250,15 @@ def test_sweep_rejects_empty_list(capsys, command, flag):
         run_cli([command, "--n", "32", flag, ""])
     assert ei.value.code == 2
     assert f"argument {flag}: must list at least one value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep-n", "--n-list", "32", "--n", "64"], "--n: sweep-n takes it from --n-list"),
+    (["sweep-k", "--k-list", "2", "--n", "32", "--k", "4"], "--k: sweep-k takes it from --k-list"),
+    (["table1", "--n-list", "32", "--n", "64"], "--n: table1 takes it from --n-list"),
+    (["table1", "--n-list", "32", "--k", "4"], "--k: table1 takes it from auto-K"),
+], ids=["sweep-n-n", "sweep-k-k", "table1-n", "table1-k"])
+def test_sweep_rejects_the_flag_it_sets(capsys, argv, message):
+    # the sweep points and table1's automatic K used to override these silently
+    assert run_cli(argv) == 2
+    assert message in capsys.readouterr().err

@@ -21,14 +21,6 @@ def test_partition_basic():
     assert p.row_slices() == [slice(0, 3), slice(3, 9)]
 
 
-def test_partition_equal_blocks():
-    p = BlockPartition.equal_blocks(12, 8, 4)
-    assert p.row_sizes == (3, 3, 3, 3)
-    assert p.col_sizes == (2, 2, 2, 2)
-    with pytest.raises(ValueError):
-        BlockPartition.equal_blocks(12, 9, 4)
-
-
 def test_partition_rejects_bad_sizes():
     with pytest.raises(ValueError):
         BlockPartition((), ())
@@ -149,7 +141,7 @@ def test_block_pr_instance_validation():
     base = PRInstance(op, np.ones(8), "intensity")
     a = complex_normal(rng, (10, 4))
     inst = BlockPRInstance(base, a, np.ones(10), beta=5.0)
-    assert inst.n_tuning_rows == 10
+    assert inst.tuning_matrix.shape == (10, 4)
     assert inst.partition.n_blocks == 2
 
     with pytest.raises(ValueError):  # L != beta*K

@@ -321,13 +321,15 @@ def test_phase_tune_beta_one_fails_sometimes():
     assert non_converged >= 1
 
 
-def test_phase_tune_with_altproj_solver_renormalizes():
+@pytest.mark.parametrize("kind", ["alt_proj", "wf_truncated"])
+def test_phase_tune_rejects_other_solvers(kind):
+    # the tuning step is the unit-modulus problem; other solvers only renormalized
     instance, x = make_block_instance(444, k=2, n_i=16)
     xs = split_signal(x, instance.partition)
     b = build_tuning_matrix(xs, instance.tuning_matrix, instance.partition)
     y_t = measure(instance.tuning_matrix, x, "magnitude")
-    d, _ = phase_tune(b, y_t, SolverSpec("alt_proj", seed=7, restarts=10))
-    assert np.max(np.abs(np.abs(d) - 1.0)) <= 1e-12
+    with pytest.raises(ValueError, match="unit-modulus tuner only"):
+        phase_tune(b, y_t, SolverSpec(kind, seed=7, restarts=10))
 
 
 # ---------------------------------------------------------------- merge

@@ -217,12 +217,12 @@ def test_solvers_reject_krbd_operator(solver):
 def test_pinv_identity():
     lsq = pinv_factor(np.eye(3, dtype=complex))
     v = np.array([1.0, 2.0, 3.0], dtype=complex)
-    assert np.allclose(lsq.solve(v), v, atol=1e-14)
+    assert np.allclose(lsq.from_coords(lsq.coords(v)), v, atol=1e-14)
 
 
 def test_pinv_least_squares_mean():
     lsq = pinv_factor(np.array([[1.0], [1.0]], dtype=complex))
-    z = lsq.solve(np.array([1.0, 3.0], dtype=complex))
+    z = lsq.from_coords(lsq.coords(np.array([1.0, 3.0], dtype=complex)))
     assert np.allclose(z, [2.0], atol=1e-14)
 
 
@@ -233,7 +233,7 @@ def test_pinv_cross_check_against_svd_route():
     lsq = pinv_factor(h)
     for t in range(5):
         v = complex_normal(rng, 48)
-        z_qr = lsq.solve(v)
+        z_qr = lsq.from_coords(lsq.coords(v))
         z_svd, *_ = np.linalg.lstsq(h, v, rcond=None)
         assert np.linalg.norm(h @ z_qr - h @ z_svd) <= 1e-10 * np.linalg.norm(v)
 
@@ -335,7 +335,7 @@ def test_altproj_and_tuner_factor_once(monkeypatch):
     factor = solvers.pinv_factor
     monkeypatch.setattr(solvers, "pinv_factor", lambda op: calls.append(op.shape) or factor(op))
     inst, _ = gaussian_instance(48, 12, 72, kind="magnitude")
-    altproj_solve(inst, APParams(init="random"), seed=1, restarts=4)
+    altproj_solve(inst, seed=1, restarts=4)
     assert calls == [(72, 12)]
     rng = generator(49)
     b_mat = complex_normal(rng, (40, 4))
@@ -462,6 +462,9 @@ def test_solver_spec_validation():
         WFParams(loss="huber")
     with pytest.raises(ValueError):
         APParams(init="warm")
+    # the random start left about one block in eight wrong; AP starts spectrally
+    with pytest.raises(ValueError, match="unknown init 'random'"):
+        APParams(init="random")
     # params must match the kind; a mismatch used to be dropped for the defaults
     with pytest.raises(ValueError, match="wf_truncated takes WFParams, got APParams"):
         SolverSpec("wf_truncated", params=APParams(max_iters=1))
@@ -511,7 +514,6 @@ def test_report_splits_wall_time_by_phase():
     reports = {
         "wf": wf_solve(inst, seed=3, restarts=2)[1],
         "ap": altproj_solve(mag, seed=3, restarts=2)[1],
-        "ap_random": altproj_solve(mag, APParams(init="random"), seed=3, restarts=2)[1],
         "tuner": unit_modulus_tune(b_mat, y, seed=3)[1],
     }
     for name, rep in reports.items():
