@@ -8,16 +8,16 @@ Subcommands:
 * ``sweep-k``  run trials over a list of block counts K at fixed N
 * ``table1``   auto-K speedup table (block pipeline vs densified baseline)
 
-Flags mirror the ExperimentConfig fields; ``--config FILE`` loads a JSON
-config with the same field names, and explicit flags override it. Each
-subcommand takes only the flags it reads; any other flag is an error.
-``gen`` takes the instance flags, ``solve`` (its instance directory fixes
-the problem) only the solver flags, and the sweeps and ``table1`` both,
+Each flag stores the ExperimentConfig field it names, and a subcommand's
+parser lists all it reads: any other flag, or a ``--config FILE`` key for a
+field it has no flag or sweep list for, is an error. Flags override the file.
+``gen`` takes the instance flags, ``solve`` only the solver flags, and the
+sweeps and ``table1`` both (less the swept value; ``table1`` sets N and K),
 plus ``--trials`` and ``--format``; all take ``--seed`` and ``--out``. The
 phase tuner has no flag: it is always the unit-modulus tuner.
 
-Exit codes: 0 success, 1 solver failure, 2 invalid config or flag, 3 I/O error
-or malformed BPR1 file.
+Exit codes: 0 success, 1 solver failure, 2 invalid config or flag, 3 I/O error,
+malformed BPR1 file or malformed instance directory.
 """
 
 from __future__ import annotations
@@ -51,12 +51,7 @@ _SOLVER_ALIASES = {
     "alt_proj": "alt_proj",
 }
 _SOLVER_KEYS = ("kind", "params", "restarts")
-# flags a command sets itself, with where it takes them from
-_SET_BY_COMMAND = {
-    "sweep-n": {"n": "--n-list"},
-    "sweep-k": {"k": "--k-list"},
-    "table1": {"n": "--n-list", "k": "auto-K"},
-}
+_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
 def _solver_kind(name: str) -> str:
@@ -106,7 +101,7 @@ def _positive_int(s: str) -> int:
 
 def _add_seed_out_flags(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--out", help="output path")
+    p.add_argument("--out", dest="output_path", help="output path")
 
 
 def _add_solver_flags(p: argparse.ArgumentParser):
@@ -115,33 +110,41 @@ def _add_solver_flags(p: argparse.ArgumentParser):
     p.add_argument("--parallelism", type=_positive_int, help="max concurrent block solves")
 
 
-def _add_instance_flags(p: argparse.ArgumentParser):
+def _add_instance_flags(p: argparse.ArgumentParser, *, n=True, k=True):
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--n", type=int, help="signal length N")
-    p.add_argument("--k", help="number of blocks, or 'auto'")
+    if n:
+        p.add_argument("--n", type=int, help="signal length N")
+    if k:
+        p.add_argument("--k", help="number of blocks, or 'auto'")
     p.add_argument("--alpha", type=float, help="per-block oversampling M/N (default 6)")
     p.add_argument("--beta", type=float, help="tuning rows per block, L = beta*K (default 20)")
-    p.add_argument("--snr", help="intensity SNR in dB, or 'inf' (default 30)")
+    p.add_argument("--snr", dest="snr_db", type=_parse_snr,
+                   help="intensity SNR in dB, or 'inf' (default 30)")
     p.add_argument("--matrix-kind", dest="matrix_kind", choices=["gaussian", "binary01"])
     p.add_argument("--noisy-tuning", dest="noisy_tuning", action="store_true", default=None)
     p.add_argument("--clean-tuning", dest="noisy_tuning", action="store_false")
 
 
-def _add_experiment_flags(p: argparse.ArgumentParser):
+def _add_experiment_flags(p: argparse.ArgumentParser, **instance_flags):
     """The sweeps' and table1's flags: instance, seed/out and solver flags, trials, format."""
-    _add_instance_flags(p)
+    _add_instance_flags(p, **instance_flags)
     _add_seed_out_flags(p)
     _add_solver_flags(p)
     p.add_argument("--trials", type=int, help="trials per point")
     p.add_argument("--format", choices=["csv", "json"], default=None)
 
 
+def _solver(args: argparse.Namespace, config_value=None) -> SolverSpec:
+    """The block solver of ``--solver`` and ``--restarts`` over a config-file value."""
+    solver = _solver_spec(args.solver if args.solver is not None else config_value)
+    if args.restarts is not None:
+        solver = dataclasses.replace(solver, restarts=args.restarts)
+    return solver
+
+
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
-    """The ExperimentConfig of a gen, sweep or table1 command line."""
-    flags = vars(args)  # gen has no solver, trials or parallelism flags
-    for name, source in _SET_BY_COMMAND.get(args.command, {}).items():
-        if flags.get(name) is not None:
-            raise ValueError(f"--{name}: {args.command} takes it from {source}")
+    """The ExperimentConfig of a gen, sweep or table1 command line, over its config file."""
+    flags = vars(args)
     raw: dict = {}
     if args.config:
         with open(args.config) as fh:
@@ -150,33 +153,22 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     for alias, name in (("N", "n"), ("K", "k")):
         if alias in raw:
             raw[name] = raw.pop(alias)
-    overrides = {
-        "n": args.n,
-        "k": args.k,
-        "alpha": args.alpha,
-        "beta": args.beta,
-        "snr_db": _parse_snr(args.snr) if args.snr is not None else None,
-        "trials": flags.get("trials"),
-        "seed": args.seed,
-        "matrix_kind": args.matrix_kind,
-        "parallelism": flags.get("parallelism"),
-        "noisy_tuning": args.noisy_tuning,
-        "output_path": args.out,
-    }
-    raw.update({k: v for k, v in overrides.items() if v is not None})
-    if "n" not in raw and flags.get("n_list"):
+    unknown = set(raw) - _FIELDS
+    if unknown:
+        raise ValueError(f"unknown config fields: {sorted(unknown)}")
+    _solver_spec(raw.get("solver"))  # a malformed solver object names its own keys first
+    unread = {key for key in raw if key not in flags and f"{key}_list" not in flags}
+    if unread:
+        raise ValueError(f"{args.command} does not read config fields {sorted(unread)}; "
+                         f"it has no flag for them")
+    raw.update({name: value for name, value in flags.items()
+                if name in _FIELDS and value is not None})
+    if "n" not in raw and "n_list" in flags:
         raw["n"] = args.n_list[0]  # sweep points override n anyway
     if "n" not in raw:
         raise ValueError("signal size is required (--n or config file)")
-    solver_flag = flags.get("solver")
-    solver = _solver_spec(solver_flag if solver_flag is not None else raw.get("solver"))
-    if flags.get("restarts") is not None:
-        solver = dataclasses.replace(solver, restarts=flags["restarts"])
-    raw["solver"] = solver
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = set(raw) - known
-    if unknown:
-        raise ValueError(f"unknown config fields: {sorted(unknown)}")
+    if "solver" in flags:
+        raw["solver"] = _solver(args, raw.get("solver"))
     return ExperimentConfig(**raw)
 
 
@@ -205,22 +197,32 @@ def _cmd_gen(args, cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
+class MalformedInstance(ValueError):
+    """An instance directory whose files do not make a block PR instance."""
+
+
 def _load_instance(path: Path) -> tuple[BlockPRInstance, np.ndarray | None]:
-    meta = json.loads((path / "meta.json").read_text())
-    op = bprio.load_bpr1(path / "h.bpr1")
-    y = np.real(bprio.load_bpr1(path / "y.bpr1"))
-    a_mat = bprio.load_bpr1(path / "a.bpr1")
-    y_t = np.real(bprio.load_bpr1(path / "ty.bpr1"))
-    base = PRInstance(op, y, meta["kind"], meta.get("snr_db"))
-    instance = BlockPRInstance(base, a_mat, y_t, meta["beta"])
-    x_path = path / "x.bpr1"
-    x = bprio.load_bpr1(x_path) if x_path.exists() else None
+    try:
+        meta = json.loads((path / "meta.json").read_text())
+        op = bprio.load_bpr1(path / "h.bpr1")
+        y = np.real(bprio.load_bpr1(path / "y.bpr1"))
+        a_mat = bprio.load_bpr1(path / "a.bpr1")
+        y_t = np.real(bprio.load_bpr1(path / "ty.bpr1"))
+        base = PRInstance(op, y, meta["kind"], meta.get("snr_db"))
+        instance = BlockPRInstance(base, a_mat, y_t, meta["beta"])
+        x = bprio.load_bpr1(path / "x.bpr1") if (path / "x.bpr1").exists() else None
+        if x is not None and x.shape != (op.shape[1],):
+            raise ValueError(f"x.bpr1 has shape {x.shape}, expected ({op.shape[1]},)")
+    except KeyError as exc:
+        raise MalformedInstance(f"{path}: meta.json has no {exc} entry") from None
+    except (ValueError, TypeError) as exc:  # a JSON syntax error is a ValueError
+        raise MalformedInstance(f"{path}: {exc}") from None
     return instance, x
 
 
-def _cmd_solve(args, cfg_solver, parallelism) -> int:
+def _cmd_solve(args, solver: SolverSpec) -> int:
     instance, x = _load_instance(Path(args.instance))
-    x_hat, out = block_pr_solve(instance, cfg_solver, None, parallelism)
+    x_hat, out = block_pr_solve(instance, solver, None, args.parallelism)
     report = {
         "n": instance.base.operator.shape[1],
         "k": instance.partition.n_blocks,
@@ -241,8 +243,8 @@ def _cmd_solve(args, cfg_solver, parallelism) -> int:
         report["nmse"] = nmse(x, x_hat)
     json.dump(report, sys.stdout, indent=2)
     print()
-    if args.out:
-        bprio.save_bpr1(Path(args.out), x_hat)
+    if args.output_path:
+        bprio.save_bpr1(Path(args.output_path), x_hat)
     return EXIT_OK
 
 
@@ -274,19 +276,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed_out_flags(p_solve)
     _add_solver_flags(p_solve)
 
-    p_sn = sub.add_parser("sweep-n", help="sweep over signal sizes")
+    # a sweep has no flag for what it sweeps, and table1 none for N or auto-K;
+    # without abbreviations, as --n would otherwise stand for --n-list
+    p_sn = sub.add_parser("sweep-n", help="sweep over signal sizes", allow_abbrev=False)
     p_sn.add_argument("--n-list", required=True, type=_int_list)
     p_sn.add_argument("--compare-monolithic", action="store_true")
-    _add_experiment_flags(p_sn)
+    _add_experiment_flags(p_sn, n=False)
 
-    p_sk = sub.add_parser("sweep-k", help="sweep over block counts")
+    p_sk = sub.add_parser("sweep-k", help="sweep over block counts", allow_abbrev=False)
     p_sk.add_argument("--k-list", required=True, type=_int_list)
     p_sk.add_argument("--compare-monolithic", action="store_true")
-    _add_experiment_flags(p_sk)
+    _add_experiment_flags(p_sk, k=False)
 
-    p_t1 = sub.add_parser("table1", help="auto-K speedup table vs monolithic baseline")
+    p_t1 = sub.add_parser("table1", help="auto-K speedup table vs monolithic baseline",
+                          allow_abbrev=False)
     p_t1.add_argument("--n-list", required=True, type=_int_list)
-    _add_experiment_flags(p_t1)
+    p_t1.set_defaults(compare_monolithic=True)
+    _add_experiment_flags(p_t1, n=False, k=False)
 
     return parser
 
@@ -295,12 +301,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "solve":
-            solver = _solver_spec(args.solver)
-            if args.restarts is not None:
-                solver = dataclasses.replace(solver, restarts=args.restarts)
+            solver = _solver(args)
             if args.seed is not None:
                 solver = dataclasses.replace(solver, seed=args.seed)
-            parallelism = args.parallelism
         else:
             cfg = build_config(args)
             if args.command == "gen" and cfg.output_path is None:
@@ -316,22 +319,14 @@ def main(argv=None) -> int:
         if args.command == "gen":
             return _cmd_gen(args, cfg)
         if args.command == "solve":
-            return _cmd_solve(args, solver, parallelism)
-        if args.command == "sweep-n":
-            table = sweep(cfg, n_list=args.n_list, compare_monolithic=args.compare_monolithic)
-            return _emit(args, cfg, table)
-        if args.command == "sweep-k":
-            table = sweep(cfg, k_list=args.k_list, compare_monolithic=args.compare_monolithic)
-            return _emit(args, cfg, table)
-        if args.command == "table1":
-            cfg = dataclasses.replace(cfg, k="auto")
-            table = sweep(cfg, n_list=args.n_list, compare_monolithic=True)
-            return _emit(args, cfg, table)
-        raise AssertionError(f"unhandled command {args.command}")
+            return _cmd_solve(args, solver)
+        points = {name: v for name, v in vars(args).items() if name in ("n_list", "k_list")}
+        table = sweep(cfg, **points, compare_monolithic=args.compare_monolithic)
+        return _emit(args, cfg, table)
     except (BlockSolveError, Diverged, NonProgress, RankDeficient) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (OSError, bprio.BPR1Error) as exc:
+    except (OSError, bprio.BPR1Error, MalformedInstance) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
 

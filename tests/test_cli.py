@@ -166,6 +166,28 @@ def test_solve_malformed_bpr1_exit_code(instance_dir, capsys, damage):
     assert "i/o error: " in capsys.readouterr().err
 
 
+def _set_meta(path, **changes):
+    meta = json.loads((path / "meta.json").read_text())
+    meta.update(changes)
+    (path / "meta.json").write_text(json.dumps({k: v for k, v in meta.items() if v is not None}))
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda d: _set_meta(d, beta=7), "tuning rows inconsistent with beta*K"),
+    (lambda d: (d / "h.bpr1").write_bytes((d / "y.bpr1").read_bytes()), "2-D matrix"),
+    (lambda d: (d / "meta.json").write_text("{not json"), "Expecting property name"),
+    (lambda d: _set_meta(d, kind=None), "meta.json has no 'kind' entry"),
+    (lambda d: (d / "x.bpr1").write_bytes((d / "ty.bpr1").read_bytes()), "x.bpr1 has shape"),
+], ids=["beta", "vector-operator", "not-json", "no-kind", "short-truth"])
+def test_solve_malformed_instance_dir_exit_code(instance_dir, capsys, damage, message):
+    # each of these ended in a raw traceback with exit 1
+    damage(instance_dir)
+    assert run_cli(["solve", str(instance_dir)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"i/o error: {instance_dir}: ") and message in err
+    assert err.count("\n") == 1
+
+
 def test_sweep_k_stdout_csv(capsys):
     code = run_cli(["sweep-k", "--k-list", "1 2", "--n", "32", "--snr", "inf",
                     "--trials", "1", "--seed", "2", "--format", "csv"])
@@ -253,12 +275,38 @@ def test_sweep_rejects_empty_list(capsys, command, flag):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["sweep-n", "--n-list", "32", "--n", "64"], "--n: sweep-n takes it from --n-list"),
-    (["sweep-k", "--k-list", "2", "--n", "32", "--k", "4"], "--k: sweep-k takes it from --k-list"),
-    (["table1", "--n-list", "32", "--n", "64"], "--n: table1 takes it from --n-list"),
-    (["table1", "--n-list", "32", "--k", "4"], "--k: table1 takes it from auto-K"),
+    (["sweep-n", "--n-list", "32", "--n", "64"], "unrecognized arguments: --n 64"),
+    (["sweep-k", "--k-list", "2", "--n", "32", "--k", "4"], "unrecognized arguments: --k 4"),
+    (["table1", "--n-list", "32", "--n", "64"], "unrecognized arguments: --n 64"),
+    (["table1", "--n-list", "32", "--k", "4"], "unrecognized arguments: --k 4"),
 ], ids=["sweep-n-n", "sweep-k-k", "table1-n", "table1-k"])
 def test_sweep_rejects_the_flag_it_sets(capsys, argv, message):
     # the sweep points and table1's automatic K used to override these silently
-    assert run_cli(argv) == 2
+    with pytest.raises(SystemExit) as ei:
+        run_cli(argv)
+    assert ei.value.code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, config, unread", [
+    (["gen", "--out", "OUT"], {"n": 16, "k": 2, "trials": 5, "parallelism": 2,
+                               "solver": "altproj"}, "['parallelism', 'solver', 'trials']"),
+    (["table1", "--n-list", "32", "--trials", "1"], {"n": 64, "k": 8}, "['k']"),
+    (["table1", "--n-list", "32", "--trials", "1"], {"N": 64, "K": 8}, "['k']"),
+    (["sweep-n", "--n-list", "32", "--trials", "1"],
+     {"n": 64, "k": 2, "noisy_tuning": False}, None),
+], ids=["gen", "table1", "table1-alias", "sweep-n"])
+def test_config_keys_the_command_does_not_read(tmp_path, capsys, argv, config, unread):
+    # gen used to drop the last three keys, and table1 ran K = 4 (auto) over k = 8
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    argv = [str(tmp_path / "out") if tok == "OUT" else tok for tok in argv]
+    code = run_cli([*argv, "--config", str(path)])
+    err = capsys.readouterr().err
+    if unread is None:  # every key is read; the sweep list is sweep-n's flag for n
+        assert code == 0
+    else:
+        assert code == 2
+        assert f"{argv[0]} does not read config fields {unread}" in err
+    assert not (tmp_path / "out").exists()
+

@@ -1,7 +1,10 @@
 """The package's named surface: what the benchmark tracer wraps and what it exports."""
 
 import ast
+import dataclasses
 import importlib
+import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -47,8 +50,8 @@ def test_package_imports_resolve_to_module_exports():
                 f"blockpr.{node.module}.__all__ lacks {alias.name}"
 
 
-# a non-default value for every option of the commands that build an
-# ExperimentConfig, and the extra tokens of the run it is compared against
+# a non-default value for every option of the commands, and the extra
+# tokens of the run it is compared against
 NON_DEFAULT = {
     "--config": (["CFG"], []),
     "--n": (["64"], []),
@@ -69,36 +72,48 @@ NON_DEFAULT = {
     "--k-list": (["4"], []),
     "--compare-monolithic": ([], []),
 }
+# a non-default config-file value for every ExperimentConfig field
+NON_DEFAULT_FIELD = {"n": 64, "k": 4, "alpha": 3, "beta": 5, "snr_db": 10, "trials": 2,
+                     "seed": 7, "solver": "altproj", "matrix_kind": "binary01",
+                     "noisy_tuning": False, "parallelism": 2, "output_path": "OUT"}
 # read by the command itself, outside the ExperimentConfig and the trials
 READ_BY_COMMAND = {"--format"}
-# set by the command itself; the flag exits 2
-SET_BY_COMMAND = {("sweep-n", "--n"), ("sweep-k", "--k"), ("table1", "--n"), ("table1", "--k")}
 BASE_ARGV = {
     "gen": ["gen", "--n", "32", "--k", "2", "--out", "OUT0"],
+    "solve": ["solve", "INST"],
     "sweep-n": ["sweep-n", "--n-list", "32", "--k", "2", "--trials", "1"],
     "sweep-k": ["sweep-k", "--k-list", "2", "--n", "32", "--trials", "1"],
     "table1": ["table1", "--n-list", "32", "--trials", "1"],
 }
+CONFIG_COMMANDS = ["gen", "sweep-n", "sweep-k", "table1"]
 
 
-def _options(command):
+def _subparser(command):
     from blockpr.cli import build_parser
 
     parser = build_parser()
     sub = next(a for a in parser._actions if a.choices and command in a.choices)
-    return [opt for action in sub.choices[command]._actions if action.option_strings
+    return sub.choices[command]
+
+
+def _options(command):
+    return [opt for action in _subparser(command)._actions if action.option_strings
             for opt in action.option_strings if opt not in ("-h", "--help")]
 
 
-@pytest.mark.parametrize("command", list(BASE_ARGV))
-def test_every_option_reaches_the_run(command, tmp_path, monkeypatch, capsys):
-    # an option that parses and then changes neither the ExperimentConfig the
-    # command runs nor its trials is accepted and dropped
+@pytest.fixture
+def run_command(tmp_path, monkeypatch, capsys):
+    """Run a command line and record what it runs and writes.
+
+    Returns the exit code, the recorded calls (the sweeps' trials, the files
+    gen writes, the arguments of solve's block solve) and whether ``OUT`` was
+    written.
+    """
     from blockpr import bench, cli
 
-    cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text('{"alpha": 4}')
-    paths = {"CFG": str(cfg_file), "OUT": str(tmp_path / "out"), "OUT0": str(tmp_path / "out0")}
+    paths = {"OUT": tmp_path / "out", "OUT0": tmp_path / "out0", "INST": tmp_path / "inst"}
+    assert cli.main(["gen", "--n", "16", "--k", "2", "--out", str(paths["INST"])]) == 0
+    real_gen, real_solve = cli._cmd_gen, cli.block_pr_solve
 
     def run(argv):
         calls = []
@@ -108,22 +123,72 @@ def test_every_option_reaches_the_run(command, tmp_path, monkeypatch, capsys):
             return bench.TrialRecord(n=cfg.n, k=cfg.resolved_k(), seed=trial_seed, nmse=0.0,
                                      blocking_s=0.0, tuning_s=0.0, merge_s=0.0, total_s=1.0)
 
-        monkeypatch.setattr(bench, "run_trial", fake_trial)
-        monkeypatch.setattr(cli, "_cmd_gen", lambda args, cfg: calls.append(cfg) or 0)
-        code = cli.main([paths.get(tok, tok) for tok in argv])
-        capsys.readouterr()
-        return code, calls
+        def recording_gen(args, cfg):
+            code = real_gen(args, cfg)
+            out = Path(cfg.output_path)
+            calls.append((out, {f.name: f.read_bytes() for f in out.iterdir()}))
+            shutil.rmtree(out)
+            return code
 
+        def recording_solve(instance, *args):
+            calls.append(args)
+            return real_solve(instance, *args)
+
+        monkeypatch.setattr(bench, "run_trial", fake_trial)
+        monkeypatch.setattr(cli, "_cmd_gen", recording_gen)
+        monkeypatch.setattr(cli, "block_pr_solve", recording_solve)
+        code = cli.main([str(paths.get(tok, tok)) for tok in argv])
+        capsys.readouterr()
+        wrote = paths["OUT"].exists()
+        paths["OUT"].unlink(missing_ok=True)
+        return code, calls, wrote
+
+    return run
+
+
+@pytest.mark.parametrize("command", list(BASE_ARGV))
+def test_every_option_reaches_the_run(command, tmp_path, run_command):
+    # an option that parses and then changes neither what the command runs
+    # (see run_command) nor whether it writes the output file is accepted and dropped
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text('{"alpha": 4}')
     for opt in _options(command):
         if opt in READ_BY_COMMAND:
             continue
         assert opt in NON_DEFAULT, f"{command} {opt}: add a non-default value"
         tokens, against = NON_DEFAULT[opt]
         base = BASE_ARGV[command] + against
-        code, changed = run(base + [opt, *tokens])
-        if (command, opt) in SET_BY_COMMAND:
-            assert code == 2, f"{command} {opt}"
-            continue
-        code_base, unchanged = run(base)
+        tokens = [str(cfg_file) if tok == "CFG" else tok for tok in tokens]
+        code, *changed = run_command(base + [opt, *tokens])
+        code_base, *unchanged = run_command(base)
         assert code == code_base == 0, f"{command} {opt}"
         assert changed != unchanged, f"{command} accepts {opt} and drops it"
+
+
+@pytest.mark.parametrize("command", CONFIG_COMMANDS)
+def test_every_config_field_is_read_or_rejected(command, tmp_path, run_command):
+    # a config-file field must change the configs and trial seeds the command
+    # runs, or exit 2; a field the command line also sets keeps the flag's value
+    from blockpr.bench import ExperimentConfig
+
+    dests = {opt: action.dest for action in _subparser(command)._actions
+             for opt in action.option_strings}
+    argv = BASE_ARGV[command]
+    set_by_flag = {dests[tok].removesuffix("_list") for tok in argv if tok in dests}
+    code_base, *unchanged = run_command(argv)
+    assert code_base == 0
+    dropped, overriding = [], []
+    for field in dataclasses.fields(ExperimentConfig):
+        assert field.name in NON_DEFAULT_FIELD, f"{field.name}: add a non-default value"
+        value = NON_DEFAULT_FIELD[field.name]
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({field.name: str(tmp_path / value)
+                                        if value == "OUT" else value}))
+        code, *changed = run_command(argv + ["--config", str(cfg_file)])
+        if field.name in set_by_flag:
+            if (code, changed) != (0, unchanged):
+                overriding.append(field.name)
+        elif not (code == 2 or (code == 0 and changed != unchanged)):
+            dropped.append(field.name)
+    assert not dropped, f"{command} accepts these config fields and drops them"
+    assert not overriding, f"{command}: these config fields override the flags"
