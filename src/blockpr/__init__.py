@@ -23,8 +23,6 @@ from .core import (
     KRBDMatrix,
     PRInstance,
     concat_blocks,
-    make_krbd,
-    split_signal,
 )
 from .forward import (
     NoiseSpec,

@@ -1,10 +1,9 @@
 """Experiment harness: instance generation, trials, sweeps, report emission.
 
 Instances follow the standard protocol for this problem family: i.i.d.
-zero-mean complex Gaussian signal and measurement blocks (or Bernoulli 0/1
-entries with ``matrix_kind="binary01"``), oversampling alpha = M/N per
-block, L = beta*K dense global tuning rows, and Gaussian noise added to
-the intensity measurements at a configured SNR.
+zero-mean complex Gaussian signal, measurement blocks and tuning rows,
+oversampling alpha = M/N per block, L = beta*K dense global tuning rows,
+and Gaussian noise added to the intensity measurements at a configured SNR.
 
 Everything is deterministic given (config, seed): per-trial seeds are
 derived from the config seed, so identical configs reproduce identical
@@ -25,7 +24,7 @@ from typing import Literal, TextIO
 
 import numpy as np
 
-from .core import BlockPRInstance, PRInstance, make_krbd
+from .core import BlockPRInstance, KRBDMatrix, PRInstance
 from .forward import NoiseSpec, add_noise_intensity, measure, nmse
 from .pipeline import block_pr_solve, block_seed
 from .rng import complex_normal, generator, mix_seed
@@ -109,7 +108,6 @@ class ExperimentConfig:
     trials: int = 100
     seed: int = 0
     solver: SolverSpec = field(default_factory=lambda: SolverSpec("wf_truncated"))
-    matrix_kind: Literal["gaussian", "binary01"] = "gaussian"
     noisy_tuning: bool = True
     parallelism: int | None = None
     output_path: str | None = None
@@ -117,38 +115,35 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be positive")
-        if self.k != "auto":
-            k = int(self.k)
-            object.__setattr__(self, "k", k)
-            if k < 1:
-                raise ValueError("k must be >= 1 or 'auto'")
-            if self.n % k:
-                raise ValueError(f"n={self.n} is not divisible into k={k} equal blocks")
-            m_per = self.alpha * (self.n // k)
-            if abs(m_per - round(m_per)) > 1e-9:
-                raise ValueError(f"alpha*(n/k) = {m_per} is not integral")
         if self.alpha <= 0 or self.beta <= 0:
             raise ValueError("alpha and beta must be positive")
+        if self.k != "auto":
+            object.__setattr__(self, "k", int(self.k))
+            self.resolved_k()
         if math.isnan(self.snr_db):
             raise ValueError("snr_db must be a number or +inf")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.matrix_kind not in ("gaussian", "binary01"):
-            raise ValueError(f"unknown matrix_kind {self.matrix_kind!r}")
         if self.parallelism is not None and self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
 
     def resolved_k(self) -> int:
-        if self.k == "auto":
-            return select_k(self.n)
-        return int(self.k)
+        """K, with "auto" resolved by :func:`select_k`, checked against n, alpha and beta.
 
-
-def _random_matrix(kind: str, shape: tuple[int, int], seed: int) -> np.ndarray:
-    rng = generator(seed)
-    if kind == "gaussian":
-        return complex_normal(rng, shape)
-    return rng.integers(0, 2, size=shape).astype(np.complex128)
+        An explicit K is checked when the config is built; auto-K only here,
+        so a sweep template stays valid whatever its points resolve to.
+        """
+        k = select_k(self.n) if self.k == "auto" else self.k
+        if k < 1:
+            raise ValueError("k must be >= 1 or 'auto'")
+        if self.n % k:
+            raise ValueError(f"n={self.n} is not divisible into k={k} equal blocks")
+        m_per = self.alpha * (self.n // k)
+        if abs(m_per - round(m_per)) > 1e-9:
+            raise ValueError(f"alpha*(n/k) = {m_per} is not integral (k={k})")
+        if round(self.beta * k) < 1:
+            raise ValueError(f"beta*k = {self.beta}*{k} rounds to no tuning rows")
+        return k
 
 
 def gen_instance(cfg: ExperimentConfig, trial_seed: int) -> tuple[BlockPRInstance, np.ndarray]:
@@ -158,12 +153,11 @@ def gen_instance(cfg: ExperimentConfig, trial_seed: int) -> tuple[BlockPRInstanc
     m_i = math.ceil(cfg.alpha * n_i - 1e-9)
     ell = round(cfg.beta * k)
     x = complex_normal(generator(mix_seed(trial_seed, _LANE_X, 0)), cfg.n)
-    blocks = [
-        _random_matrix(cfg.matrix_kind, (m_i, n_i), mix_seed(trial_seed, _LANE_BLOCK_MATRIX, i))
+    op = KRBDMatrix(tuple(
+        complex_normal(generator(mix_seed(trial_seed, _LANE_BLOCK_MATRIX, i)), (m_i, n_i))
         for i in range(k)
-    ]
-    op = make_krbd(blocks)
-    a_mat = _random_matrix(cfg.matrix_kind, (ell, cfg.n), mix_seed(trial_seed, _LANE_TUNING_MATRIX, 0))
+    ))
+    a_mat = complex_normal(generator(mix_seed(trial_seed, _LANE_TUNING_MATRIX, 0)), (ell, cfg.n))
 
     y = add_noise_intensity(
         measure(op, x, "intensity"),

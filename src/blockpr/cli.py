@@ -120,7 +120,6 @@ def _add_instance_flags(p: argparse.ArgumentParser, *, n=True, k=True):
     p.add_argument("--beta", type=float, help="tuning rows per block, L = beta*K (default 20)")
     p.add_argument("--snr", dest="snr_db", type=_parse_snr,
                    help="intensity SNR in dB, or 'inf' (default 30)")
-    p.add_argument("--matrix-kind", dest="matrix_kind", choices=["gaussian", "binary01"])
     p.add_argument("--noisy-tuning", dest="noisy_tuning", action="store_true", default=None)
     p.add_argument("--clean-tuning", dest="noisy_tuning", action="store_false")
 
@@ -189,7 +188,6 @@ def _cmd_gen(args, cfg: ExperimentConfig) -> int:
         "beta": cfg.beta,
         "snr_db": cfg.snr_db,
         "seed": cfg.seed,
-        "matrix_kind": cfg.matrix_kind,
         "noisy_tuning": cfg.noisy_tuning,
     }
     (out / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
@@ -256,6 +254,9 @@ def _emit(args, cfg: ExperimentConfig, table) -> int:
     else:
         _write_report(table, fmt, sys.stdout)
     failed = [r for r in table.rows if r.error is not None]
+    for r in failed:
+        point = f"K={r.k}" if args.command == "sweep-k" else f"N={r.n}"
+        print(f"sweep point {point} failed: {r.error}", file=sys.stderr)
     return EXIT_SOLVER if failed else EXIT_OK
 
 
@@ -306,8 +307,10 @@ def main(argv=None) -> int:
                 solver = dataclasses.replace(solver, seed=args.seed)
         else:
             cfg = build_config(args)
-            if args.command == "gen" and cfg.output_path is None:
-                raise ValueError("gen requires --out DIRECTORY")
+            if args.command == "gen":
+                if cfg.output_path is None:
+                    raise ValueError("gen requires --out DIRECTORY")
+                cfg.resolved_k()  # an auto-K config is checked once resolved
     except (ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG

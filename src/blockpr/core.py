@@ -12,7 +12,8 @@ workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Literal, Sequence, Union
 
 import numpy as np
@@ -28,8 +29,6 @@ __all__ = [
     "as_complex_vector",
     "as_dense_matrix",
     "concat_blocks",
-    "make_krbd",
-    "split_signal",
 ]
 
 
@@ -102,41 +101,31 @@ class BlockPartition:
     def total_cols(self) -> int:
         return sum(self.col_sizes)
 
-    def row_offsets(self) -> list[int]:
-        return [0] + list(np.cumsum(self.row_sizes))
-
-    def col_offsets(self) -> list[int]:
-        return [0] + list(np.cumsum(self.col_sizes))
-
     def row_slices(self) -> list[slice]:
-        off = self.row_offsets()
-        return [slice(off[i], off[i + 1]) for i in range(self.n_blocks)]
+        return [slice(end - m, end) for m, end in zip(self.row_sizes, accumulate(self.row_sizes))]
 
     def col_slices(self) -> list[slice]:
-        off = self.col_offsets()
-        return [slice(off[i], off[i + 1]) for i in range(self.n_blocks)]
+        return [slice(end - n, end) for n, end in zip(self.col_sizes, accumulate(self.col_sizes))]
 
 
 @dataclass(frozen=True)
 class KRBDMatrix:
     """K-rectangular-block-diagonal matrix: only the diagonal blocks are stored.
 
-    The logical full matrix is zero outside the blocks; those zeros are
-    never materialized except by an explicit :meth:`to_dense`.
+    ``KRBDMatrix(blocks)`` takes the K diagonal blocks (2-D, nonempty,
+    finite) and derives ``partition`` from their shapes. The logical full
+    matrix is zero outside the blocks; those zeros are never materialized
+    except by an explicit :meth:`to_dense`.
     """
 
-    partition: BlockPartition
     blocks: tuple[np.ndarray, ...]
+    partition: BlockPartition = field(init=False)
 
     def __post_init__(self):
         blocks = tuple(_frozen(as_dense_matrix(b)) for b in self.blocks)
         object.__setattr__(self, "blocks", blocks)
-        if len(blocks) != self.partition.n_blocks:
-            raise ValueError("number of blocks does not match partition")
-        for i, b in enumerate(blocks):
-            want = (self.partition.row_sizes[i], self.partition.col_sizes[i])
-            if b.shape != want:
-                raise ValueError(f"block {i} has shape {b.shape}, expected {want}")
+        object.__setattr__(self, "partition", BlockPartition(
+            tuple(b.shape[0] for b in blocks), tuple(b.shape[1] for b in blocks)))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -155,36 +144,6 @@ class KRBDMatrix:
 
 
 Operator = Union[np.ndarray, KRBDMatrix]
-
-
-def make_krbd(blocks: Sequence[np.ndarray]) -> KRBDMatrix:
-    """Assemble a block-diagonal matrix from its diagonal blocks.
-
-    The partition is derived from the block shapes; off-block zeros are
-    never stored.
-    """
-    blocks = list(blocks)
-    if not blocks:
-        raise ValueError("need at least one block")
-    mats = [as_dense_matrix(b) for b in blocks]
-    part = BlockPartition(
-        tuple(m.shape[0] for m in mats),
-        tuple(m.shape[1] for m in mats),
-    )
-    return KRBDMatrix(part, tuple(mats))
-
-
-def split_signal(x: np.ndarray, partition: BlockPartition) -> list[np.ndarray]:
-    """Split a signal into contiguous per-block sub-vectors.
-
-    Inverse of :func:`concat_blocks`: the round trip is bitwise exact.
-    """
-    x = as_complex_vector(x, check_finite=False)
-    if len(x) != partition.total_cols:
-        raise ValueError(
-            f"signal length {len(x)} does not match partition columns {partition.total_cols}"
-        )
-    return [x[cs].copy() for cs in partition.col_slices()]
 
 
 def concat_blocks(parts: Sequence[np.ndarray]) -> np.ndarray:

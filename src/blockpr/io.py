@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import BlockPartition, KRBDMatrix
+from .core import KRBDMatrix
 
 __all__ = ["BPR1Error", "load_bpr1", "save_bpr1"]
 
@@ -100,12 +100,11 @@ def load_bpr1(path: str | Path) -> Saveable:
             block, off = _read_entries(buf, off, shape)
             blocks.append(block)
         try:
-            part = BlockPartition(tuple(s[0] for s in shapes), tuple(s[1] for s in shapes))
+            out = KRBDMatrix(tuple(blocks))
         except ValueError as exc:
-            raise BPR1Error(f"bad block headers: {exc}") from None
-        if (part.total_rows, part.total_cols) != (rows, cols):
+            raise BPR1Error(f"bad block headers or entries: {exc}") from None
+        if out.shape != (rows, cols):
             raise BPR1Error("block headers inconsistent with overall shape")
-        out = KRBDMatrix(part, tuple(blocks))
     else:
         raise BPR1Error(f"unknown BPR1 kind flag {kind}")
     if off != len(buf):

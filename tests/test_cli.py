@@ -93,6 +93,29 @@ def test_invalid_config_exit_code():
     assert run_cli(["sweep-n", "--n-list", "32", "--solver", "magic"]) == 2
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--n", "3"], "need n >= 4"),
+    (["--n", "64", "--beta", "0.01"], "beta*k = 0.01*4 rounds to no tuning rows"),
+    (["--n", "64", "--alpha", "6.1"], "alpha*(n/k) = 97.6 is not integral (k=4)"),
+], ids=["tiny-n", "no-tuning-rows", "auto-k-non-integral-alpha"])
+def test_gen_invalid_auto_k_config_exit_code(tmp_path, capsys, flags, message):
+    # auto-K configs gen cannot draw exit 2 before anything is written
+    out = tmp_path / "inst"
+    assert run_cli(["gen", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"invalid config: {message}\n"
+    assert not out.exists()
+
+
+def test_gen_has_one_matrix_family(tmp_path, capsys):
+    with pytest.raises(SystemExit) as ei:
+        run_cli(["gen", "--n", "16", "--matrix-kind", "binary01", "--out", str(tmp_path / "a")])
+    assert ei.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 16, "matrix_kind": "gaussian"}))
+    assert run_cli(["gen", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 2
+    assert "unknown config fields: ['matrix_kind']" in capsys.readouterr().err
+
+
 def test_missing_config_file_is_io_error():
     code = run_cli(["sweep-n", "--n-list", "32", "--config", "/nonexistent/cfg.json"])
     assert code == 3
@@ -109,6 +132,8 @@ def test_failed_sweep_point_exit_code(capsys):
     code = run_cli(["sweep-k", "--k-list", "5", "--n", "32", "--snr", "inf",
                     "--trials", "1", "--format", "json"])
     assert code == 1
+    assert ("sweep point K=5 failed: n=32 is not divisible into k=5 equal blocks\n"
+            in capsys.readouterr().err)
 
 
 def test_diverged_solve_exit_code(tmp_path, capsys, monkeypatch):
@@ -186,6 +211,20 @@ def test_solve_malformed_instance_dir_exit_code(instance_dir, capsys, damage, me
     err = capsys.readouterr().err
     assert err.startswith(f"i/o error: {instance_dir}: ") and message in err
     assert err.count("\n") == 1
+
+
+def test_solve_reads_instance_dirs_written_with_matrix_kind(instance_dir, capsys):
+    # older instance directories carry a "matrix_kind" meta.json key, which solve does not read
+    _set_meta(instance_dir, matrix_kind="gaussian")
+    assert run_cli(["solve", str(instance_dir)]) == 0
+
+
+def test_csv_sweep_names_failed_point_on_stderr(capsys):
+    # the CSV row carries no error column, so the reason goes to stderr
+    assert run_cli(["sweep-n", "--n-list", "3", "--trials", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1].startswith("3,-1,")
+    assert captured.err == "sweep point N=3 failed: need n >= 4\n"
 
 
 def test_sweep_k_stdout_csv(capsys):

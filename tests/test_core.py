@@ -4,10 +4,9 @@ import pytest
 from blockpr.core import (
     BlockPartition,
     BlockPRInstance,
+    KRBDMatrix,
     PRInstance,
     concat_blocks,
-    make_krbd,
-    split_signal,
 )
 from blockpr.forward import apply
 from blockpr.rng import complex_normal, generator
@@ -32,68 +31,53 @@ def test_partition_rejects_bad_sizes():
 
 def test_make_krbd_two_blocks():
     # two 2x1 blocks -> M=4, N=2, K=2
-    k = make_krbd([np.ones((2, 1)), np.ones((2, 1))])
+    k = KRBDMatrix([np.ones((2, 1)), np.ones((2, 1))])
     assert k.shape == (4, 2)
     assert k.n_blocks == 2
 
 
 def test_make_krbd_single_block_is_dense():
-    k = make_krbd([np.arange(6).reshape(2, 3).astype(complex)])
+    k = KRBDMatrix([np.arange(6).reshape(2, 3).astype(complex)])
     assert k.n_blocks == 1
     assert np.array_equal(k.to_dense(), k.blocks[0])
 
 
 def test_make_krbd_partition_follows_block_shapes():
     # shapes 3x1 and 6x2 are consistent with m_i = ceil(alpha*n_i), alpha=3
-    k = make_krbd([np.ones((3, 1)), np.ones((6, 2))])
-    assert k.partition.row_sizes == (3, 6)
-    assert k.partition.col_sizes == (1, 2)
+    k = KRBDMatrix([np.ones((3, 1)), np.ones((6, 2))])
+    assert k.partition == BlockPartition((3, 6), (1, 2))
+    assert k.partition.col_slices() == [slice(0, 1), slice(1, 3)]
     for m_i, n_i in zip(k.partition.row_sizes, k.partition.col_sizes):
         assert m_i == int(np.ceil(3 * n_i))
+    with pytest.raises(TypeError):  # the partition is derived, never passed
+        KRBDMatrix(k.partition, k.blocks)
 
 
 def test_make_krbd_errors():
-    with pytest.raises(ValueError):
-        make_krbd([])
-    with pytest.raises(ValueError):
-        make_krbd([np.zeros((0, 2))])
-    with pytest.raises(ValueError):
-        make_krbd([np.array([[np.nan]])])
+    with pytest.raises(ValueError, match="at least one block"):
+        KRBDMatrix([])
+    with pytest.raises(ValueError, match="zero dimension"):
+        KRBDMatrix([np.ones((2, 1)), np.zeros((0, 2))])
+    with pytest.raises(ValueError, match="2-D matrix"):
+        KRBDMatrix([np.ones((2, 1)), np.ones(3)])
+    with pytest.raises(ValueError, match="non-finite"):
+        KRBDMatrix([np.array([[np.nan]])])
 
 
 def test_krbd_blocks_are_immutable():
-    k = make_krbd([np.eye(2, dtype=complex)])
+    k = KRBDMatrix([np.eye(2, dtype=complex)])
     with pytest.raises(ValueError):
         k.blocks[0][0, 0] = 5.0
 
 
 def test_krbd_dense_round_trip():
     rng = generator(7)
-    k = make_krbd([complex_normal(rng, (3, 2)), complex_normal(rng, (5, 4))])
+    k = KRBDMatrix([complex_normal(rng, (3, 2)), complex_normal(rng, (5, 4))])
     full = k.to_dense()
     assert full.shape == (8, 6)
     assert np.array_equal(full[:3, :2], k.blocks[0])
     assert np.array_equal(full[3:, 2:], k.blocks[1])
     assert not full[:3, 2:].any() and not full[3:, :2].any()
-
-
-def test_split_signal_examples():
-    part = BlockPartition((2, 2), (2, 2))
-    parts = split_signal(np.array([1, 2j, 3, 4]), part)
-    assert np.array_equal(parts[0], [1, 2j])
-    assert np.array_equal(parts[1], [3, 4])
-
-    single = split_signal(np.array([1, 2j, 3, 4]), BlockPartition((4,), (4,)))
-    assert np.array_equal(single[0], [1, 2j, 3, 4])
-
-    uneven = split_signal(np.array([1, 2, 3, 4]), BlockPartition((1, 3), (1, 3)))
-    assert np.array_equal(uneven[0], [1])
-    assert np.array_equal(uneven[1], [2, 3, 4])
-
-
-def test_split_signal_length_mismatch():
-    with pytest.raises(ValueError):
-        split_signal(np.ones(5), BlockPartition((2, 2), (2, 2)))
 
 
 def test_concat_examples():
@@ -108,7 +92,7 @@ def test_split_concat_round_trip_bitwise(sizes):
     rng = generator(123)
     x = complex_normal(rng, sum(sizes))
     part = BlockPartition(tuple(2 * s for s in sizes), tuple(sizes))
-    back = concat_blocks(split_signal(x, part))
+    back = concat_blocks([x[cs] for cs in part.col_slices()])
     assert back.tobytes() == x.tobytes()
 
 
@@ -117,7 +101,7 @@ def test_single_block_apply_matches_dense_exactly():
     rng = generator(5)
     h = complex_normal(rng, (12, 8))
     x = complex_normal(rng, 8)
-    k = make_krbd([h])
+    k = KRBDMatrix([h])
     assert apply(k, x).tobytes() == (k.to_dense() @ x).tobytes()
 
 
@@ -137,7 +121,7 @@ def test_pr_instance_validation():
 
 def test_block_pr_instance_validation():
     rng = generator(9)
-    op = make_krbd([complex_normal(rng, (4, 2)), complex_normal(rng, (4, 2))])
+    op = KRBDMatrix([complex_normal(rng, (4, 2)), complex_normal(rng, (4, 2))])
     base = PRInstance(op, np.ones(8), "intensity")
     a = complex_normal(rng, (10, 4))
     inst = BlockPRInstance(base, a, np.ones(10), beta=5.0)

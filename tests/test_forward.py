@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from blockpr.core import make_krbd
+from blockpr.core import KRBDMatrix
 from blockpr.forward import (
     NoiseSpec,
     add_noise_intensity,
@@ -37,7 +37,7 @@ def test_apply_hand_example():
 
 
 def test_apply_krbd_blockwise():
-    k = make_krbd([np.array([[2.0]]), np.array([[3.0]])])
+    k = KRBDMatrix([np.array([[2.0]]), np.array([[3.0]])])
     out = apply(k, np.array([1, 1j]))
     assert np.array_equal(out, [2, 3j])
 

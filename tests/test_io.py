@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from blockpr.core import KRBDMatrix, make_krbd
+from blockpr.core import KRBDMatrix
 from blockpr.io import BPR1Error, load_bpr1, save_bpr1
 from blockpr.rng import complex_normal, generator
 
@@ -27,7 +27,7 @@ def test_dense_round_trip(tmp_path):
 
 def test_krbd_round_trip(tmp_path):
     rng = generator(3)
-    k = make_krbd([complex_normal(rng, (3, 1)), complex_normal(rng, (6, 2))])
+    k = KRBDMatrix([complex_normal(rng, (3, 1)), complex_normal(rng, (6, 2))])
     save_bpr1(tmp_path / "k.bpr1", k)
     back = load_bpr1(tmp_path / "k.bpr1")
     assert isinstance(back, KRBDMatrix)
@@ -92,7 +92,7 @@ _matrices = arrays(np.complex128, st.tuples(st.integers(0, 6), st.integers(0, 6)
 _krbds = st.lists(
     st.tuples(st.integers(1, 4), st.integers(1, 3)), min_size=1, max_size=4
 ).flatmap(lambda shapes: st.tuples(*(arrays(np.complex128, s, elements=_finite) for s in shapes)))
-_saveables = st.one_of(_vectors, _matrices, _krbds.map(make_krbd))
+_saveables = st.one_of(_vectors, _matrices, _krbds.map(KRBDMatrix))
 
 
 @pytest.fixture(scope="module")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from blockpr import pipeline
 from blockpr.bench import ExperimentConfig, gen_instance
-from blockpr.core import BlockPartition, BlockPRInstance, PRInstance, split_signal
+from blockpr.core import BlockPartition, BlockPRInstance, PRInstance
 from blockpr.forward import measure, nmse
 from blockpr.pipeline import (
     BlockSolveError,
@@ -98,7 +98,7 @@ def test_solve_blocks_per_block_recovery():
         instance, x = make_block_instance(mix_seed(55, t), k=4, n_i=32)
         spec = SolverSpec("wf_truncated", seed=mix_seed(56, t), restarts=3)
         solved = solve_blocks(instance, spec)
-        xs = split_signal(x, instance.partition)
+        xs = [x[cs] for cs in instance.partition.col_slices()]
         hits += all(nmse(xi, zi) <= 1e-6 for xi, (zi, _) in zip(xs, solved))
     assert hits >= 90
 
@@ -140,7 +140,7 @@ def test_altproj_default_start_solves_every_block(snr_db):
         seed = mix_seed(12345, 1024, t)
         instance, x = gen_instance(ExperimentConfig(n=1024, snr_db=snr_db), seed)
         x_hat, out = block_pr_solve(instance, SolverSpec("alt_proj", seed=seed), parallelism=1)
-        xs = split_signal(x, instance.partition)
+        xs = [x[cs] for cs in instance.partition.col_slices()]
         assert max(nmse(xi, zi) for xi, zi in zip(xs, out.block_estimates)) <= 1e-2
         assert nmse(x, x_hat) <= (5e-3 if snr_db == 30.0 else 1e-15)
 
@@ -259,7 +259,7 @@ def test_build_tuning_matrix_hand_example():
 
 def test_build_tuning_matrix_consistency_with_truth():
     instance, x = make_block_instance(99, k=3, n_i=8, beta=7.0)
-    xs = split_signal(x, instance.partition)
+    xs = [x[cs] for cs in instance.partition.col_slices()]
     b = build_tuning_matrix(xs, instance.tuning_matrix, instance.partition)
     lhs = np.abs(b @ np.ones(3))
     rhs = measure(instance.tuning_matrix, x, "magnitude")
@@ -280,7 +280,7 @@ def test_build_tuning_matrix_dimension_errors():
 
 def test_phase_tune_already_aligned():
     instance, x = make_block_instance(111, k=4, n_i=16)
-    xs = split_signal(x, instance.partition)
+    xs = [x[cs] for cs in instance.partition.col_slices()]
     b = build_tuning_matrix(xs, instance.tuning_matrix, instance.partition)
     y_t = measure(instance.tuning_matrix, x, "magnitude")
     d, rep = phase_tune(b, y_t, SolverSpec("unit_modulus_tuner", seed=4, restarts=50))
@@ -292,7 +292,7 @@ def test_phase_tune_already_aligned():
 def test_phase_tune_recovers_injected_phases(k):
     rng = generator(300 + k)
     instance, x = make_block_instance(mix_seed(222, k), k=k, n_i=16)
-    xs = split_signal(x, instance.partition)
+    xs = [x[cs] for cs in instance.partition.col_slices()]
     phases = rng.uniform(0, 2 * np.pi, k)
     shifted = [xi * np.exp(1j * p) for xi, p in zip(xs, phases)]
     b = build_tuning_matrix(shifted, instance.tuning_matrix, instance.partition)
@@ -309,7 +309,7 @@ def test_phase_tune_beta_one_fails_sometimes():
     non_converged = 0
     for t in range(10):
         instance, x = make_block_instance(mix_seed(333, t), k=4, n_i=16, beta=1.0)
-        xs = split_signal(x, instance.partition)
+        xs = [x[cs] for cs in instance.partition.col_slices()]
         phases = generator(mix_seed(334, t)).uniform(0, 2 * np.pi, 4)
         shifted = [xi * np.exp(1j * p) for xi, p in zip(xs, phases)]
         b = build_tuning_matrix(shifted, instance.tuning_matrix, instance.partition)
@@ -325,7 +325,7 @@ def test_phase_tune_beta_one_fails_sometimes():
 def test_phase_tune_rejects_other_solvers(kind):
     # the tuning step is the unit-modulus problem; other solvers only renormalized
     instance, x = make_block_instance(444, k=2, n_i=16)
-    xs = split_signal(x, instance.partition)
+    xs = [x[cs] for cs in instance.partition.col_slices()]
     b = build_tuning_matrix(xs, instance.tuning_matrix, instance.partition)
     y_t = measure(instance.tuning_matrix, x, "magnitude")
     with pytest.raises(ValueError, match="unit-modulus tuner only"):
@@ -349,7 +349,7 @@ def test_merge_perfect_inputs():
     rng = generator(50)
     x = complex_normal(rng, 24)
     part = BlockPartition((12, 12, 24), (6, 6, 12))
-    xs = split_signal(x, part)
+    xs = [x[cs] for cs in part.col_slices()]
     phases = rng.uniform(0, 2 * np.pi, 3)
     shifted = [xi * np.exp(1j * p) for xi, p in zip(xs, phases)]
     d = np.exp(-1j * phases) * np.exp(0.3j)  # common phase is allowed

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from blockpr import solvers
-from blockpr.core import PRInstance, make_krbd
+from blockpr.core import KRBDMatrix, PRInstance
 from blockpr.forward import NoiseSpec, add_noise_intensity, measure, nmse, residual
 from blockpr.rng import complex_normal, generator, mix_seed
 from blockpr.solvers import (
@@ -200,7 +200,7 @@ def test_wf_snr30_dense_median_nmse():
 def test_solvers_reject_krbd_operator(solver):
     # the solvers run on one dense block at a time; a KRBD operator is an error
     rng = generator(14)
-    op = make_krbd([complex_normal(rng, (48, 8)) for _ in range(2)])
+    op = KRBDMatrix([complex_normal(rng, (48, 8)) for _ in range(2)])
     b = measure(op, complex_normal(rng, 16), "intensity")
     calls = {
         "wf_solve": lambda: wf_solve(PRInstance(op, b, "intensity"), seed=5),

@@ -59,7 +59,6 @@ NON_DEFAULT = {
     "--alpha": (["3"], []),
     "--beta": (["5"], []),
     "--snr": (["10"], []),
-    "--matrix-kind": (["binary01"], []),
     "--noisy-tuning": ([], ["--clean-tuning"]),
     "--clean-tuning": ([], []),
     "--seed": (["7"], []),
@@ -74,8 +73,8 @@ NON_DEFAULT = {
 }
 # a non-default config-file value for every ExperimentConfig field
 NON_DEFAULT_FIELD = {"n": 64, "k": 4, "alpha": 3, "beta": 5, "snr_db": 10, "trials": 2,
-                     "seed": 7, "solver": "altproj", "matrix_kind": "binary01",
-                     "noisy_tuning": False, "parallelism": 2, "output_path": "OUT"}
+                     "seed": 7, "solver": "altproj", "noisy_tuning": False, "parallelism": 2,
+                     "output_path": "OUT"}
 # read by the command itself, outside the ExperimentConfig and the trials
 READ_BY_COMMAND = {"--format"}
 BASE_ARGV = {
