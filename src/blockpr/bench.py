@@ -57,7 +57,6 @@ _LANE_NOISE_TUNING = 14
 _EMPIRICAL_BLOCK_COLS = 128.0
 _EMPIRICAL_K_MIN = 4
 _EMPIRICAL_K_MAX = 64
-_THEORETICAL_C = 0.25
 
 CSV_COLUMNS = [
     "N", "K", "alpha", "beta", "snr_db", "trials", "nmse_median", "nmse_mean",
@@ -71,27 +70,19 @@ def _nearest_pow2(v: float) -> int:
     return int(2 ** round(math.log2(v)))
 
 
-def select_k(n: int, mode: Literal["empirical", "theoretical"] = "empirical",
-             c: float | None = None) -> int:
+def select_k(n: int, mode: Literal["empirical"] = "empirical") -> int:
     """Pick the number of blocks for signal size ``n``.
 
-    ``empirical`` uses the block-size law fitted to the reference table
-    (``c`` = target block columns, default 128; K clamped to [4, 64]);
-    ``theoretical`` follows the K* ~ c * sqrt(N) complexity balance
-    (default c = 0.25). Either way the result is snapped to a divisor of
-    ``n`` no larger than n/4.
+    Uses the block-size law fitted to the reference table (128 target block
+    columns, K clamped to [4, 64]), snapped to a divisor of ``n`` no larger
+    than n/4. ``mode`` accepts only "empirical".
     """
     if n < 4:
         raise ValueError("need n >= 4")
-    if mode == "empirical":
-        cols = _EMPIRICAL_BLOCK_COLS if c is None else c
-        k = _nearest_pow2(n / cols)
-        k = min(max(k, _EMPIRICAL_K_MIN), _EMPIRICAL_K_MAX)
-    elif mode == "theoretical":
-        cc = _THEORETICAL_C if c is None else c
-        k = _nearest_pow2(cc * math.sqrt(n))
-    else:
+    if mode != "empirical":
         raise ValueError(f"unknown mode {mode!r}")
+    k = _nearest_pow2(n / _EMPIRICAL_BLOCK_COLS)
+    k = min(max(k, _EMPIRICAL_K_MIN), _EMPIRICAL_K_MAX)
     divisors = [d for d in range(1, n // 4 + 1) if n % d == 0]
     return min(divisors, key=lambda d: (abs(math.log(d) - math.log(k)), d))
 
@@ -119,7 +110,8 @@ class ExperimentConfig:
             raise ValueError("alpha and beta must be positive")
         if self.k != "auto":
             object.__setattr__(self, "k", int(self.k))
-            self.resolved_k()
+            if self.k < 1:
+                raise ValueError("k must be >= 1 or 'auto'")
         if math.isnan(self.snr_db):
             raise ValueError("snr_db must be a number or +inf")
         if self.trials < 1:
@@ -130,12 +122,10 @@ class ExperimentConfig:
     def resolved_k(self) -> int:
         """K, with "auto" resolved by :func:`select_k`, checked against n, alpha and beta.
 
-        An explicit K is checked when the config is built; auto-K only here,
-        so a sweep template stays valid whatever its points resolve to.
+        K is checked against n here only, not when the config is built, so a
+        sweep template stays valid whatever its points resolve to.
         """
         k = select_k(self.n) if self.k == "auto" else self.k
-        if k < 1:
-            raise ValueError("k must be >= 1 or 'auto'")
         if self.n % k:
             raise ValueError(f"n={self.n} is not divisible into k={k} equal blocks")
         m_per = self.alpha * (self.n // k)

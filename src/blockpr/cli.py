@@ -206,7 +206,7 @@ def _load_instance(path: Path) -> tuple[BlockPRInstance, np.ndarray | None]:
         y = np.real(bprio.load_bpr1(path / "y.bpr1"))
         a_mat = bprio.load_bpr1(path / "a.bpr1")
         y_t = np.real(bprio.load_bpr1(path / "ty.bpr1"))
-        base = PRInstance(op, y, meta["kind"], meta.get("snr_db"))
+        base = PRInstance(op, y, meta["kind"])
         instance = BlockPRInstance(base, a_mat, y_t, meta["beta"])
         x = bprio.load_bpr1(path / "x.bpr1") if (path / "x.bpr1").exists() else None
         if x is not None and x.shape != (op.shape[1],):
@@ -310,7 +310,7 @@ def main(argv=None) -> int:
             if args.command == "gen":
                 if cfg.output_path is None:
                     raise ValueError("gen requires --out DIRECTORY")
-                cfg.resolved_k()  # an auto-K config is checked once resolved
+                cfg.resolved_k()  # K is checked against n once resolved
     except (ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -7,7 +7,8 @@ construction boundaries. Structured containers (:class:`BlockPartition`,
 :class:`KRBDMatrix`, :class:`PRInstance`, :class:`BlockPRInstance`) are
 frozen dataclasses whose stored arrays are marked read-only, so every type
 here is immutable after construction and shared copy-on-write by forked
-workers.
+workers. Measurements are intensities |H x|^2; a solver that needs
+magnitudes takes their square roots itself.
 """
 
 from __future__ import annotations
@@ -18,13 +19,10 @@ from typing import Literal, Sequence, Union
 
 import numpy as np
 
-MeasurementKind = Literal["magnitude", "intensity"]
-
 __all__ = [
     "BlockPRInstance",
     "BlockPartition",
     "KRBDMatrix",
-    "MeasurementKind",
     "PRInstance",
     "as_complex_vector",
     "as_dense_matrix",
@@ -158,14 +156,14 @@ def concat_blocks(parts: Sequence[np.ndarray]) -> np.ndarray:
 class PRInstance:
     """A phase retrieval measurement problem.
 
-    ``measurements`` holds |op @ x| (kind="magnitude") or |op @ x|^2
-    (kind="intensity") for the unknown signal x; ``snr_db`` is noise
-    metadata only (math.inf or None means noiseless).
+    ``measurements`` holds the intensities |op @ x|^2 of the unknown signal
+    x; ``kind`` must be "intensity", and any other kind raises ValueError.
+    ``snr_db`` is noise metadata only (math.inf or None means noiseless).
     """
 
     operator: Operator
     measurements: np.ndarray
-    kind: MeasurementKind
+    kind: Literal["intensity"]
     snr_db: float | None = None
 
     def __post_init__(self):
@@ -179,8 +177,8 @@ class PRInstance:
         meas = meas.copy()
         meas.setflags(write=False)
         object.__setattr__(self, "measurements", meas)
-        if self.kind not in ("magnitude", "intensity"):
-            raise ValueError(f"unknown measurement kind {self.kind!r}")
+        if self.kind != "intensity":
+            raise ValueError(f"measurements must be intensities, got kind {self.kind!r}")
         if isinstance(self.operator, KRBDMatrix):
             rows = self.operator.shape[0]
         else:
@@ -199,8 +197,8 @@ class BlockPRInstance:
     """A block-diagonal PR problem plus the global phase-tuning measurements.
 
     The L = round(beta * K) tuning rows are extra measurements stored
-    separately from the base problem; ``tuning_measurements`` uses the same
-    measurement kind as ``base``. beta >= 4 is recommended for reliable
+    separately from the base problem; ``tuning_measurements`` holds their
+    intensities, as ``base`` does. beta >= 4 is recommended for reliable
     tuning but smaller values are accepted (useful for failure studies).
     """
 

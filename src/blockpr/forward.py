@@ -1,6 +1,7 @@
 """Measurement models, noise injection, and evaluation metrics.
 
-The measurement map is y = |H x| (magnitude) or y = |H x|^2 (intensity).
+The measurement map is y = |H x|^2 (intensity), which every problem holds,
+or y = |H x| (magnitude), the form of the phase tuner's targets y_t = |B d|.
 Noise is added on the intensity scale: w ~ N(0, sigma^2) i.i.d. real with
 sigma^2 = mean(b^2) * 10^(-snr_db/10), negative results clamped to zero.
 Error metrics quotient out the global phase ambiguity |H(e^{j theta} x)| =
@@ -13,10 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
-from .core import KRBDMatrix, MeasurementKind, Operator, as_complex_vector
+from .core import KRBDMatrix, Operator, as_complex_vector
 from .rng import generator
 
 __all__ = [
@@ -67,7 +69,7 @@ def apply(op: Operator, x: np.ndarray) -> np.ndarray:
     return op @ x
 
 
-def measure(op: Operator, x: np.ndarray, kind: MeasurementKind) -> np.ndarray:
+def measure(op: Operator, x: np.ndarray, kind: Literal["magnitude", "intensity"]) -> np.ndarray:
     """Noiseless measurements |H x| or |H x|^2."""
     v = np.abs(apply(op, x))
     if kind == "magnitude":

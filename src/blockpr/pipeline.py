@@ -5,9 +5,9 @@ independent sub-problems, solves them with a configurable base solver
 (optionally in worker processes), then resolves the K unknown per-block phase
 factors from the extra global tuning measurements and merges:
 
-1. blocking step: solve y_i = |H_i x_i| per block -> estimates x_i_hat,
-   each correct only up to its own phase e^{j phi_i};
-2. phase tuning: solve the K-dimensional problem y_t = |B d| with
+1. blocking step: solve the intensities y_i = |H_i x_i|^2 per block ->
+   estimates x_i_hat, each correct only up to its own phase e^{j phi_i};
+2. phase tuning: solve the K-dimensional problem sqrt(y_t) = |B d| with
    B[:, i] = A_i @ x_i_hat for unit-modulus d (d_i ~ e^{-j phi_i});
 3. merge: x_hat = concat(d_0 * x_0_hat, ..., d_{K-1} * x_{K-1}_hat).
 
@@ -133,8 +133,9 @@ class BlockSolveOutput:
     stage_times: StageTimes
 
 
-def _solve_one_block(block, meas_slice, kind, snr_db, spec, index):
-    sub = PRInstance(block, meas_slice, kind, snr_db)
+def _solve_one_block(block, y_slice, spec, index):
+    """Solve block ``index`` on its intensities with seed ``block_seed(spec.seed, index)``."""
+    sub = PRInstance(block, y_slice, "intensity")
     sub_spec = replace(spec, seed=block_seed(spec.seed, index))
     return solve_pr(sub, sub_spec)
 
@@ -215,10 +216,8 @@ def solve_blocks(
     op = instance.base.operator
     part = op.partition
     y = instance.base.measurements
-    kind = instance.base.kind
-    snr = instance.base.snr_db
     jobs = [
-        (op.blocks[i], y[rs], kind, snr, spec, i)
+        (op.blocks[i], y[rs], spec, i)
         for i, rs in enumerate(part.row_slices())
     ]
 
@@ -345,10 +344,7 @@ def block_pr_solve(
         x_hat = estimates[0].copy()
     else:
         compressed = build_tuning_matrix(estimates, instance.tuning_matrix, part)
-        if instance.base.kind == "intensity":
-            y_t = magnitudes_from_intensity(instance.tuning_measurements)
-        else:
-            y_t = instance.tuning_measurements
+        y_t = magnitudes_from_intensity(instance.tuning_measurements)
         d_hat, tuning_report = phase_tune(compressed, y_t, tune_spec)
         t2 = time.perf_counter()
         x_hat = merge(estimates, d_hat)

@@ -5,9 +5,9 @@ Three solvers share one calling convention (measurements in, estimate and
 
 * :func:`wf_solve` -- truncated Wirtinger-flow gradient descent on
   intensity measurements, spectrally initialized.
-* :func:`altproj_solve` -- alternating projections on magnitude
-  measurements, alternating between the data modulus constraint and the
-  operator range. The operator is factored once by QR, H = Q R, and the
+* :func:`altproj_solve` -- alternating projections on the magnitudes, the
+  square roots of the intensity measurements, alternating between the data
+  modulus constraint and the operator range. The operator is factored once by QR, H = Q R, and the
   iteration runs in the coordinates of the orthonormal basis Q, so each
   step reads Q alone and the triangular solve is made once per restart.
 * :func:`unit_modulus_tune` -- alternating projections specialized to
@@ -392,8 +392,6 @@ def wf_solve(
     iterations and :class:`Diverged` if the residual becomes non-finite.
     """
     params = params or WFParams()
-    if instance.kind != "intensity":
-        raise ValueError("wf_solve consumes intensity measurements")
     t0 = time.perf_counter()
     b = instance.measurements
     lin = _LinOp(_dense(instance.operator, "wf_solve"))
@@ -559,7 +557,7 @@ def altproj_solve(
     restarts: int = 1,
     z0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, SolverReport]:
-    """Alternating projections on magnitude measurements.
+    """Alternating projections on the magnitudes a = sqrt(y) of the intensities y.
 
     Starts from :func:`spectral_init` on a^2 (or from ``z0``) and iterates
     v <- a * phase(H z), z <- argmin ||H z - v|| until the shared stop
@@ -572,11 +570,9 @@ def altproj_solve(
     short-circuits to z = 0, converged.
     """
     params = params or APParams()
-    if instance.kind != "magnitude":
-        raise ValueError("altproj_solve consumes magnitude measurements")
     t0 = time.perf_counter()
     op = _dense(instance.operator, "altproj_solve")
-    a = instance.measurements
+    a = magnitudes_from_intensity(instance.measurements)
     m, n = op.shape
     if float(np.linalg.norm(a)) == 0:
         return _finish(t0, params.tol,
@@ -645,28 +641,15 @@ def unit_modulus_tune(
                    factor_s)
 
 
-def _as_kind(instance: PRInstance, kind: str) -> PRInstance:
-    if instance.kind == kind:
-        return instance
-    if kind == "intensity":
-        meas = instance.measurements**2
-    else:
-        meas = magnitudes_from_intensity(instance.measurements)
-    return PRInstance(instance.operator, meas, kind, instance.snr_db)
-
-
 def solve_pr(instance: PRInstance, spec: SolverSpec) -> tuple[np.ndarray, SolverReport]:
-    """Run the PR solver selected by ``spec``, converting the measurement kind.
+    """Run the PR solver selected by ``spec`` on the instance's intensities.
 
-    Intensity-to-magnitude conversion takes the square root of the clamped
-    intensities; magnitude-to-intensity squares (exact on noiseless data).
     "unit_modulus_tuner" raises ValueError: it solves for unit-modulus
     phase factors, not a signal, and runs only through
     :func:`blockpr.pipeline.phase_tune`.
     """
     if spec.kind == "wf_truncated":
-        return wf_solve(_as_kind(instance, "intensity"), spec.params, spec.seed, spec.restarts)
+        return wf_solve(instance, spec.params, spec.seed, spec.restarts)
     if spec.kind == "alt_proj":
-        return altproj_solve(_as_kind(instance, "magnitude"), spec.params, spec.seed,
-                             spec.restarts)
+        return altproj_solve(instance, spec.params, spec.seed, spec.restarts)
     raise ValueError(f"{spec.kind} is the phase tuner, not a PR solver; use phase_tune")

@@ -57,16 +57,16 @@ def test_gen_instance_clean_tuning_flag():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ExperimentConfig(n=10, k=3, trials=1)  # not divisible
-    with pytest.raises(ValueError):
-        ExperimentConfig(n=8, k=2, alpha=6.3, trials=1)  # alpha*(n/k) not integral
+    # K is checked against n, alpha and beta once resolved, explicit and auto
+    # alike, so a sweep template stays valid and only the failing point fails
+    with pytest.raises(ValueError, match="not divisible"):
+        ExperimentConfig(n=10, k=3, trials=1).resolved_k()
+    with pytest.raises(ValueError, match="is not integral"):
+        ExperimentConfig(n=8, k=2, alpha=6.3, trials=1).resolved_k()
     with pytest.raises(ValueError):
         ExperimentConfig(n=8, k=2, trials=0)
     with pytest.raises(ValueError, match="no tuning rows"):
-        ExperimentConfig(n=64, k=4, beta=0.01, trials=1)
-    # auto-K follows the same rules, checked once resolved, so a sweep
-    # template stays valid and only the failing point fails
+        ExperimentConfig(n=64, k=4, beta=0.01, trials=1).resolved_k()
     with pytest.raises(ValueError, match="is not integral"):
         ExperimentConfig(n=64, alpha=6.1, trials=1).resolved_k()
     cfg = ExperimentConfig(n=1024, k="auto", trials=1)
@@ -90,26 +90,27 @@ def test_select_k_snaps_to_divisors():
     assert 1 <= k <= 24
 
 
-def test_select_k_theoretical_mode():
-    k = select_k(2**10, "theoretical")
-    assert 2**10 % k == 0
-    assert k == 8  # 0.25 * sqrt(1024) = 8
-
-
 def test_select_k_rejects_tiny_n():
     with pytest.raises(ValueError):
         select_k(3)
 
 
+def test_select_k_has_one_mode():
+    with pytest.raises(ValueError, match="unknown mode 'theoretical'"):
+        select_k(2**10, "theoretical")
+
+
 # ---------------------------------------------------------------- run_trial
 
 def test_run_trial_k1_speedup_near_unity():
+    # one trial takes milliseconds, so a single reading is noise-bound: the
+    # gate reads the median of five
     cfg = ExperimentConfig(n=64, k=1, snr_db=30.0, trials=1, seed=1)
     run_trial(cfg, trial_seed=11, compare_monolithic=True)  # untimed warm-up
-    rec = run_trial(cfg, trial_seed=11, compare_monolithic=True)
-    assert rec.monolithic_s is not None
-    assert 0.5 <= rec.speedup <= 2.0  # same computation modulo skipped tuning
-    assert rec.k == 1
+    recs = [run_trial(cfg, trial_seed=11, compare_monolithic=True) for _ in range(5)]
+    assert all(rec.monolithic_s is not None and rec.k == 1 for rec in recs)
+    # same computation modulo skipped tuning
+    assert 0.5 <= float(np.median([rec.speedup for rec in recs])) <= 2.0
 
 
 def test_run_trial_records_fields():

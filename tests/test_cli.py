@@ -202,8 +202,9 @@ def _set_meta(path, **changes):
     (lambda d: (d / "h.bpr1").write_bytes((d / "y.bpr1").read_bytes()), "2-D matrix"),
     (lambda d: (d / "meta.json").write_text("{not json"), "Expecting property name"),
     (lambda d: _set_meta(d, kind=None), "meta.json has no 'kind' entry"),
+    (lambda d: _set_meta(d, kind="magnitude"), "must be intensities, got kind 'magnitude'"),
     (lambda d: (d / "x.bpr1").write_bytes((d / "ty.bpr1").read_bytes()), "x.bpr1 has shape"),
-], ids=["beta", "vector-operator", "not-json", "no-kind", "short-truth"])
+], ids=["beta", "vector-operator", "not-json", "no-kind", "magnitude", "short-truth"])
 def test_solve_malformed_instance_dir_exit_code(instance_dir, capsys, damage, message):
     # each of these ended in a raw traceback with exit 1
     damage(instance_dir)
@@ -217,6 +218,19 @@ def test_solve_reads_instance_dirs_written_with_matrix_kind(instance_dir, capsys
     # older instance directories carry a "matrix_kind" meta.json key, which solve does not read
     _set_meta(instance_dir, matrix_kind="gaussian")
     assert run_cli(["solve", str(instance_dir)]) == 0
+
+
+@pytest.mark.parametrize("n_list", ["6,64", "64,6"])
+def test_sweep_explicit_k_fails_only_its_bad_point(capsys, n_list):
+    # the template used to check K against the first N, so "6,64" exited 2
+    code = run_cli(["sweep-n", "--n-list", n_list, "--k", "4", "--trials", "1",
+                    "--snr", "inf", "--format", "json"])
+    assert code == 1
+    captured = capsys.readouterr()
+    rows = json.loads(captured.out)
+    expected = [(int(n), n == "6") for n in n_list.split(",")]
+    assert [(r["N"], "error" in r) for r in rows] == expected
+    assert captured.err == "sweep point N=6 failed: n=6 is not divisible into k=4 equal blocks\n"
 
 
 def test_csv_sweep_names_failed_point_on_stderr(capsys):

@@ -107,14 +107,16 @@ def test_single_block_apply_matches_dense_exactly():
 
 def test_pr_instance_validation():
     h = np.eye(3, dtype=complex)
-    inst = PRInstance(h, np.ones(3), "magnitude")
+    inst = PRInstance(h, np.ones(3), "intensity")
     assert inst.shape == (3, 3)
     with pytest.raises(ValueError):
-        PRInstance(h, np.ones(2), "magnitude")
+        PRInstance(h, np.ones(2), "intensity")
     with pytest.raises(ValueError):
-        PRInstance(h, -np.ones(3), "magnitude")
-    with pytest.raises(ValueError):
-        PRInstance(h, np.ones(3), "amplitude")
+        PRInstance(h, -np.ones(3), "intensity")
+    # measurements are intensities; the solvers take their square roots
+    for kind in ("magnitude", "amplitude"):
+        with pytest.raises(ValueError, match=f"got kind '{kind}'"):
+            PRInstance(h, np.ones(3), kind)
     with pytest.raises(ValueError):
         PRInstance(h, np.array([1.0, np.inf, 0.0]), "intensity")
 

@@ -23,11 +23,11 @@ from blockpr.solvers import (
 )
 
 
-def gaussian_instance(seed, n, m, kind="intensity"):
+def gaussian_instance(seed, n, m):
     rng = generator(seed)
     h = complex_normal(rng, (m, n))
     x = complex_normal(rng, n)
-    return PRInstance(h, measure(h, x, kind), kind), x
+    return PRInstance(h, measure(h, x, "intensity"), "intensity"), x
 
 
 def noisy_instance(seed, n, m, snr_db=30.0):
@@ -102,12 +102,6 @@ def test_wf_noiseless_recovery_monte_carlo():
         z, rep = wf_solve(inst, seed=mix_seed(901, t), restarts=3)
         hits += nmse(x, z) <= 1e-6
     assert hits >= 90
-
-
-def test_wf_requires_intensity():
-    inst, _ = gaussian_instance(5, 8, 48, kind="magnitude")
-    with pytest.raises(ValueError):
-        wf_solve(inst)
 
 
 def test_wf_zero_measurements_rejected():
@@ -205,7 +199,7 @@ def test_solvers_reject_krbd_operator(solver):
     calls = {
         "wf_solve": lambda: wf_solve(PRInstance(op, b, "intensity"), seed=5),
         "spectral_init": lambda: spectral_init(op, b, WFParams(), seed=5),
-        "altproj_solve": lambda: altproj_solve(PRInstance(op, np.sqrt(b), "magnitude")),
+        "altproj_solve": lambda: altproj_solve(PRInstance(op, b, "intensity")),
         "pinv_factor": lambda: pinv_factor(op),
     }
     with pytest.raises(TypeError, match=f"{solver} expects a dense operator"):
@@ -255,7 +249,7 @@ def test_pinv_requires_tall_matrix():
 
 def test_altproj_fixed_point_one_iteration():
     x = complex_normal(generator(20), 6)
-    inst = PRInstance(np.eye(6, dtype=complex), np.abs(x), "magnitude")
+    inst = PRInstance(np.eye(6, dtype=complex), np.abs(x) ** 2, "intensity")
     z, rep = altproj_solve(inst, seed=0, z0=x)
     assert rep.iterations == 1
     assert rep.converged
@@ -263,7 +257,7 @@ def test_altproj_fixed_point_one_iteration():
 
 
 def test_altproj_zero_measurements():
-    inst = PRInstance(np.eye(4, dtype=complex), np.zeros(4), "magnitude")
+    inst = PRInstance(np.eye(4, dtype=complex), np.zeros(4), "intensity")
     z, rep = altproj_solve(inst)
     assert np.array_equal(z, np.zeros(4))
     assert rep.converged
@@ -274,7 +268,7 @@ def test_altproj_noiseless_recovery_monte_carlo():
 
     hits = 0
     for t in range(100):
-        inst, x = gaussian_instance(mix_seed(950, t), 16, 96, kind="magnitude")
+        inst, x = gaussian_instance(mix_seed(950, t), 16, 96)
         z, rep = altproj_solve(inst, seed=mix_seed(951, t), restarts=10)
         hits += nmse(x, z) <= 1e-8
     assert hits >= 90
@@ -282,7 +276,7 @@ def test_altproj_noiseless_recovery_monte_carlo():
 
 def test_altproj_residuals_non_increasing():
     for t in range(5):
-        inst, _ = gaussian_instance(mix_seed(960, t), 12, 72, kind="magnitude")
+        inst, _ = gaussian_instance(mix_seed(960, t), 12, 72)
         _, rep = altproj_solve(inst, seed=t)
         diffs = np.diff(np.asarray(rep.residuals))
         assert np.all(diffs <= 1e-12)
@@ -290,7 +284,7 @@ def test_altproj_residuals_non_increasing():
 
 def test_altproj_non_finite_residual_raises_diverged():
     # a finite start whose image overflows gives a NaN residual
-    inst, _ = gaussian_instance(3, 8, 48, kind="magnitude")
+    inst, _ = gaussian_instance(3, 8, 48)
     with np.errstate(all="ignore"), pytest.raises(Diverged):
         altproj_solve(inst, z0=np.full(8, 1e308, dtype=complex))
 
@@ -320,10 +314,9 @@ def test_altproj_matches_xspace_lstsq_reference():
     params = APParams()
     for t in range(5):
         inst, _ = noisy_instance(mix_seed(970, t), 16, 96)
-        inst = PRInstance(inst.operator, np.sqrt(inst.measurements), "magnitude")
         z0 = complex_normal(generator(mix_seed(971, t)), 16)
         z, rep = altproj_solve(inst, params, z0=z0)
-        z_ref, iters = _xspace_altproj(inst.operator, inst.measurements, z0, params)
+        z_ref, iters = _xspace_altproj(inst.operator, np.sqrt(inst.measurements), z0, params)
         assert rep.iterations == iters
         assert np.linalg.norm(z - z_ref) <= 1e-10 * np.linalg.norm(z_ref)
 
@@ -334,7 +327,7 @@ def test_altproj_and_tuner_factor_once(monkeypatch):
     calls = []
     factor = solvers.pinv_factor
     monkeypatch.setattr(solvers, "pinv_factor", lambda op: calls.append(op.shape) or factor(op))
-    inst, _ = gaussian_instance(48, 12, 72, kind="magnitude")
+    inst, _ = gaussian_instance(48, 12, 72)
     altproj_solve(inst, seed=1, restarts=4)
     assert calls == [(72, 12)]
     rng = generator(49)
@@ -347,21 +340,15 @@ def test_altproj_and_tuner_factor_once(monkeypatch):
 
 def test_altproj_noiseless_runs_stop_on_tol():
     for t in range(5):
-        inst, _ = gaussian_instance(mix_seed(975, t), 16, 96, kind="magnitude")
+        inst, _ = gaussian_instance(mix_seed(975, t), 16, 96)
         _, rep = altproj_solve(inst, seed=t)
         assert rep.stop_reason == "tol" and rep.converged
-
-
-def test_altproj_requires_magnitude():
-    inst, _ = gaussian_instance(21, 8, 48, kind="intensity")
-    with pytest.raises(ValueError):
-        altproj_solve(inst)
 
 
 def test_altproj_spectral_init():
     from blockpr.forward import nmse
 
-    inst, x = gaussian_instance(22, 16, 96, kind="magnitude")
+    inst, x = gaussian_instance(22, 16, 96)
     z, rep = altproj_solve(inst, APParams(init="spectral"), seed=1, restarts=3)
     assert nmse(x, z) <= 1e-8
 
@@ -440,15 +427,12 @@ def test_tuner_output_modulus_exactly_one():
 # ---------------------------------------------------------------- dispatch
 
 def test_solve_pr_converts_kinds():
+    # alternating projections take the square roots of the intensities
     from blockpr.forward import nmse
 
-    inst, x = gaussian_instance(40, 16, 96, kind="magnitude")
-    z, _ = solve_pr(inst, SolverSpec("wf_truncated", seed=1, restarts=3))
-    assert nmse(x, z) <= 1e-6
-
-    inst2, x2 = gaussian_instance(41, 16, 96, kind="intensity")
-    z2, _ = solve_pr(inst2, SolverSpec("alt_proj", seed=1, restarts=10))
-    assert nmse(x2, z2) <= 1e-8
+    inst, x = gaussian_instance(41, 16, 96)
+    z, _ = solve_pr(inst, SolverSpec("alt_proj", seed=1, restarts=10))
+    assert nmse(x, z) <= 1e-8
 
 
 def test_solver_spec_validation():
@@ -475,13 +459,13 @@ def test_solver_spec_validation():
 
 
 def test_solve_pr_rejects_the_tuner():
-    inst, _ = gaussian_instance(47, 4, 24, kind="magnitude")
+    inst, _ = gaussian_instance(47, 4, 24)
     with pytest.raises(ValueError, match="phase tuner"):
         solve_pr(inst, SolverSpec("unit_modulus_tuner"))
 
 
 def test_altproj_and_tuner_deterministic():
-    inst, _ = gaussian_instance(45, 12, 72, kind="magnitude")
+    inst, _ = gaussian_instance(45, 12, 72)
     z1, _ = altproj_solve(inst, seed=9, restarts=3)
     z2, _ = altproj_solve(inst, seed=9, restarts=3)
     assert z1.tobytes() == z2.tobytes()
@@ -507,13 +491,12 @@ def test_report_residual_semantics():
 
 def test_report_splits_wall_time_by_phase():
     inst, _ = gaussian_instance(43, 16, 96)
-    mag = PRInstance(inst.operator, np.sqrt(inst.measurements), "magnitude")
     rng = generator(44)
     b_mat = complex_normal(rng, (40, 4))
     y = np.abs(b_mat @ np.exp(1j * rng.uniform(0, 2 * np.pi, 4)))
     reports = {
         "wf": wf_solve(inst, seed=3, restarts=2)[1],
-        "ap": altproj_solve(mag, seed=3, restarts=2)[1],
+        "ap": altproj_solve(inst, seed=3, restarts=2)[1],
         "tuner": unit_modulus_tune(b_mat, y, seed=3)[1],
     }
     for name, rep in reports.items():

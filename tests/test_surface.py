@@ -5,12 +5,14 @@ import dataclasses
 import importlib
 import json
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 import blockpr
+from blockpr.solvers import WFParams
 
 ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
@@ -35,6 +37,27 @@ def test_module_all_resolves(module):
     mod = importlib.import_module(f"blockpr.{module}")
     for name in getattr(mod, "__all__", ()):
         assert hasattr(mod, name), f"blockpr.{module}.{name}"
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in json.loads(
+    (ROOT / "BENCHMARK.json").read_text())["workloads"]])
+def test_benchmark_smoke_run(workload, tmp_path):
+    # the benchmark builds its instances and solves through the public API
+    # (gen_instance, PRInstance, BlockPRInstance, load_bpr1, APParams,
+    # block_pr_solve with positional arguments), so a break there shows
+    # here. A solve that raises counts as failed, not as incorrect, so a run
+    # in which every solve failed fails the test too. It runs on a copy, so
+    # its record goes to the copy's perfbench/out, not to the checkout's.
+    for name in ("src", "perfbench"):
+        shutil.copytree(ROOT / name, tmp_path / name,
+                        ignore=shutil.ignore_patterns("__pycache__", "out"))
+    proc = subprocess.run([sys.executable, str(tmp_path / "perfbench" / "run.py"),
+                           "--workload", workload, "--seed", "1", "--seconds", "0"],
+                          cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True, result
+    assert result["failed"] < result["attempted"], result
 
 
 def test_package_imports_resolve_to_module_exports():
@@ -162,6 +185,22 @@ def test_every_option_reaches_the_run(command, tmp_path, run_command):
         code_base, *unchanged = run_command(base)
         assert code == code_base == 0, f"{command} {opt}"
         assert changed != unchanged, f"{command} accepts {opt} and drops it"
+
+
+@pytest.mark.parametrize("solver, code, params", [
+    ({"kind": "wf", "params": {"loss": "gaussian", "step_size": 0.1}}, 0,
+     WFParams(loss="gaussian", step_size=0.1)),
+    ({"kind": "altproj", "params": {"loss": "gaussian"}}, 2, None),
+])
+def test_config_solver_params_reach_the_run(solver, code, params, tmp_path, run_command):
+    # a config file's solver params reach every trial, or exit 2 if they do
+    # not fit the solver
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"solver": solver}))
+    got, calls, _ = run_command(BASE_ARGV["sweep-n"] + ["--config", str(cfg_file)])
+    assert got == code
+    assert bool(calls) == (code == 0)
+    assert [cfg.solver.params for cfg, *_ in calls] == [params] * len(calls)
 
 
 @pytest.mark.parametrize("command", CONFIG_COMMANDS)
