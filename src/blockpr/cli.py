@@ -233,6 +233,9 @@ def _cmd_solve(args, solver: SolverSpec) -> int:
         "converged_blocks": [r.converged for r in out.per_block_reports],
         "tuning_converged": out.tuning_report.converged,
         "block_stop_reasons": [r.stop_reason for r in out.per_block_reports],
+        "block_init_s": [r.init_s for r in out.per_block_reports],
+        "block_iter_s": [r.iter_s for r in out.per_block_reports],
+        "block_factor_s": [r.factor_s for r in out.per_block_reports],
         "tuning_stop_reason": out.tuning_report.stop_reason,
     }
     if x is not None:

@@ -159,6 +159,20 @@ def instance_dir(tmp_path, capsys):
     return out
 
 
+@pytest.mark.parametrize("solver", ["wf", "altproj"])
+def test_solve_reports_block_time_split(instance_dir, capsys, solver):
+    # each block's SolverReport time split reaches the JSON; only AP factors its block
+    assert run_cli(["solve", str(instance_dir), "--solver", solver]) == 0
+    report = json.loads(capsys.readouterr().out)
+    for key in ("block_init_s", "block_iter_s", "block_factor_s"):
+        assert len(report[key]) == report["k"]
+        assert all(t >= 0 for t in report[key])
+    if solver == "wf":
+        assert report["block_factor_s"] == [0.0] * report["k"]
+    else:
+        assert all(t > 0 for t in report["block_factor_s"])
+
+
 def test_solve_rejects_zero_parallelism(instance_dir, capsys):
     with pytest.raises(SystemExit) as ei:
         run_cli(["solve", str(instance_dir), "--parallelism", "0"])

@@ -220,22 +220,59 @@ def test_pinv_least_squares_mean():
     assert np.allclose(z, [2.0], atol=1e-14)
 
 
-def test_pinv_cross_check_against_svd_route():
+def _assert_matches_svd_route(h, lsq, rng):
     # independent factorization: numpy lstsq (SVD) vs our QR
-    rng = generator(15)
-    h = complex_normal(rng, (48, 8))
-    lsq = pinv_factor(h)
     for t in range(5):
-        v = complex_normal(rng, 48)
+        v = complex_normal(rng, h.shape[0])
         z_qr = lsq.from_coords(lsq.coords(v))
         z_svd, *_ = np.linalg.lstsq(h, v, rcond=None)
         assert np.linalg.norm(h @ z_qr - h @ z_svd) <= 1e-10 * np.linalg.norm(v)
+
+
+def test_pinv_cross_check_against_svd_route():
+    rng = generator(15)
+    h = complex_normal(rng, (48, 8))
+    _assert_matches_svd_route(h, pinv_factor(h), rng)
+
+
+def test_pinv_gaussian_block_takes_cholesky_qr(monkeypatch):
+    # a well-conditioned block is factored by Cholesky QR alone
+    def householder(*args, **kwargs):
+        raise AssertionError("Householder QR ran on a well-conditioned block")
+
+    monkeypatch.setattr(solvers.scipy.linalg, "qr", householder)
+    rng = generator(18)
+    h = complex_normal(rng, (768, 128))
+    lsq = pinv_factor(h)
+    assert np.linalg.norm(lsq.q.conj().T @ lsq.q - np.eye(128)) <= 1e-13
+    _assert_matches_svd_route(h, lsq, rng)
+
+
+def test_pinv_ill_conditioned_falls_back_to_householder():
+    # singular values 1 .. 1e-6: one unguarded Cholesky QR pass misses the
+    # SVD route by about 2e-6 here, so the condition guard must send this
+    # full-rank matrix to Householder QR. Column scaling would not test the
+    # guard, because Cholesky QR tolerates it.
+    rng = generator(17)
+    u, _ = np.linalg.qr(complex_normal(rng, (48, 8)))
+    v, _ = np.linalg.qr(complex_normal(rng, (8, 8)))
+    h = (u * np.geomspace(1, 1e-6, 8)) @ v.conj().T
+    _assert_matches_svd_route(h, pinv_factor(h), rng)
 
 
 def test_pinv_rank_deficient():
     rng = generator(16)
     col = complex_normal(rng, 12)
     h = np.stack([col, 2 * col, complex_normal(rng, 12)], axis=1)
+    with pytest.raises(RankDeficient):
+        pinv_factor(h)
+
+
+def test_pinv_zero_column_rank_deficient():
+    # the Gram matrix is singular, so the Cholesky factorization fails and
+    # the rank rule runs on the Householder factor
+    h = complex_normal(generator(19), (48, 8))
+    h[:, 3] = 0
     with pytest.raises(RankDeficient):
         pinv_factor(h)
 
