@@ -18,6 +18,7 @@ import io
 import json
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Literal, TextIO
@@ -26,7 +27,7 @@ import numpy as np
 
 from .core import BlockPRInstance, KRBDMatrix, PRInstance
 from .forward import NoiseSpec, add_noise_intensity, measure, nmse
-from .pipeline import block_pr_solve, block_seed
+from .pipeline import _usable_cpus, block_pr_solve, block_seed
 from .rng import complex_normal, generator, mix_seed
 from .solvers import SolverSpec, solve_pr
 
@@ -122,8 +123,10 @@ class ExperimentConfig:
     def resolved_k(self) -> int:
         """K, with "auto" resolved by :func:`select_k`, checked against n, alpha and beta.
 
-        K is checked against n here only, not when the config is built, so a
-        sweep template stays valid whatever its points resolve to.
+        K must divide n, and leave each block and the tuning step at least
+        the measurements :func:`_require_injective` asks for. K is checked
+        against n here only, not when the config is built, so a sweep
+        template stays valid whatever its points resolve to.
         """
         k = select_k(self.n) if self.k == "auto" else self.k
         if self.n % k:
@@ -133,7 +136,42 @@ class ExperimentConfig:
             raise ValueError(f"alpha*(n/k) = {m_per} is not integral (k={k})")
         if round(self.beta * k) < 1:
             raise ValueError(f"beta*k = {self.beta}*{k} rounds to no tuning rows")
+        _require_injective(round(m_per), self.n // k, f"alpha*(n/k) = {self.alpha}*{self.n // k}")
+        _require_injective(round(self.beta * k), k, f"beta*k = {self.beta}*{k}")
         return k
+
+
+def _require_injective(rows: int, unknowns: int, what: str) -> None:
+    """Raise ValueError if ``rows`` intensities are too few for ``unknowns``.
+
+    Generic phase retrieval in C^n is injective only from 4n - 4
+    measurements on (Balan, Casazza & Edidin 2006; Conca, Edidin, Hering &
+    Vinzant 2015). Below that bound no solver can be right in general, so a
+    block needs alpha*n_i >= 4 n_i - 4 rows and the tuning step, with K
+    unknown phases, beta*K >= 4K - 4.
+    """
+    if rows < 4 * unknowns - 4:
+        raise ValueError(f"{what} gives {rows} rows for {unknowns} unknowns, below the "
+                         f"phase-retrieval injectivity bound 4*{unknowns} - 4 = {4 * unknowns - 4}")
+
+
+def _draw_matrix(seed: int, shape: tuple[int, int]) -> np.ndarray:
+    a = complex_normal(generator(seed), shape)
+    a.setflags(write=False)  # KRBDMatrix and BlockPRInstance keep it without a copy
+    return a
+
+
+def _draw_matrices(draws: list[tuple[int, tuple[int, int]]]) -> list[np.ndarray]:
+    """The Gaussian matrix of each (seed, shape) draw, in order.
+
+    The draws run on threads, largest first, since numpy fills normal
+    samples with the GIL released. The pool is joined before this returns:
+    the blocking step may fork, and no thread may outlive generation.
+    """
+    order = sorted(range(len(draws)), key=lambda i: -math.prod(draws[i][1]))
+    with ThreadPoolExecutor(max_workers=min(len(draws), _usable_cpus())) as pool:
+        futures = {i: pool.submit(_draw_matrix, *draws[i]) for i in order}
+    return [futures[i].result() for i in range(len(draws))]
 
 
 def gen_instance(cfg: ExperimentConfig, trial_seed: int) -> tuple[BlockPRInstance, np.ndarray]:
@@ -143,11 +181,10 @@ def gen_instance(cfg: ExperimentConfig, trial_seed: int) -> tuple[BlockPRInstanc
     m_i = math.ceil(cfg.alpha * n_i - 1e-9)
     ell = round(cfg.beta * k)
     x = complex_normal(generator(mix_seed(trial_seed, _LANE_X, 0)), cfg.n)
-    op = KRBDMatrix(tuple(
-        complex_normal(generator(mix_seed(trial_seed, _LANE_BLOCK_MATRIX, i)), (m_i, n_i))
-        for i in range(k)
-    ))
-    a_mat = complex_normal(generator(mix_seed(trial_seed, _LANE_TUNING_MATRIX, 0)), (ell, cfg.n))
+    draws = [(mix_seed(trial_seed, _LANE_TUNING_MATRIX, 0), (ell, cfg.n))]
+    draws += [(mix_seed(trial_seed, _LANE_BLOCK_MATRIX, i), (m_i, n_i)) for i in range(k)]
+    a_mat, *blocks = _draw_matrices(draws)
+    op = KRBDMatrix(tuple(blocks))
 
     y = add_noise_intensity(
         measure(op, x, "intensity"),

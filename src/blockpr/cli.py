@@ -32,7 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from . import io as bprio
-from .bench import _LANE_TRIAL, ExperimentConfig, _write_report, emit_report, gen_instance, sweep
+from .bench import (_LANE_TRIAL, ExperimentConfig, _require_injective, _write_report, emit_report,
+                    gen_instance, sweep)
 from .core import BlockPRInstance, PRInstance
 from .pipeline import BlockSolveError, block_pr_solve
 from .rng import mix_seed
@@ -208,6 +209,11 @@ def _load_instance(path: Path) -> tuple[BlockPRInstance, np.ndarray | None]:
         y_t = np.real(bprio.load_bpr1(path / "ty.bpr1"))
         base = PRInstance(op, y, meta["kind"])
         instance = BlockPRInstance(base, a_mat, y_t, meta["beta"])
+        part = instance.partition
+        for i, (m, n) in enumerate(zip(part.row_sizes, part.col_sizes)):
+            _require_injective(m, n, f"block {i} of h.bpr1")
+        k = part.n_blocks
+        _require_injective(a_mat.shape[0], k, f"the tuning matrix a.bpr1 for K = {k}")
         x = bprio.load_bpr1(path / "x.bpr1") if (path / "x.bpr1").exists() else None
         if x is not None and x.shape != (op.shape[1],):
             raise ValueError(f"x.bpr1 has shape {x.shape}, expected ({op.shape[1]},)")
@@ -314,6 +320,9 @@ def main(argv=None) -> int:
                 if cfg.output_path is None:
                     raise ValueError("gen requires --out DIRECTORY")
                 cfg.resolved_k()  # K is checked against n once resolved
+            elif args.command == "table1":
+                for n in args.n_list:  # every row is checked before any runs
+                    dataclasses.replace(cfg, n=n).resolved_k()
     except (ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG

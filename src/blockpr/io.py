@@ -11,9 +11,10 @@ dimensions do not fit a u32, raises :class:`BPR1Error`.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from pathlib import Path
-from typing import Union
+from typing import BinaryIO, Union
 
 import numpy as np
 
@@ -39,74 +40,96 @@ def _u32(*values: int) -> bytes:
     return struct.pack(f"<{len(values)}I", *values)
 
 
-def _entry_bytes(a: np.ndarray) -> bytes:
-    # complex128 is exactly interleaved (re, im) float64 pairs
-    return np.ascontiguousarray(a, dtype="<c16").tobytes()
-
-
 def save_bpr1(path: str | Path, obj: Saveable) -> None:
-    """Write a vector, dense matrix, or KRBD matrix in BPR1 format."""
-    path = Path(path)
+    """Write a vector, dense matrix, or KRBD matrix in BPR1 format.
+
+    Each array's buffer goes to the file as it is; only an array that is
+    not C-ordered little-endian complex128 is converted first.
+    """
     if isinstance(obj, KRBDMatrix):
         head = [_MAGIC, _u32(*obj.shape), bytes([_KIND_KRBD]), _u32(obj.n_blocks)]
         head += [_u32(*b.shape) for b in obj.blocks]
-        payload = b"".join(head) + b"".join(_entry_bytes(b) for b in obj.blocks)
+        arrays = obj.blocks
     else:
         a = np.asarray(obj, dtype=np.complex128)
         if a.ndim == 1:
-            head = _MAGIC + _u32(len(a), 1) + bytes([_KIND_VECTOR])
+            head = [_MAGIC, _u32(len(a), 1), bytes([_KIND_VECTOR])]
         elif a.ndim == 2:
-            head = _MAGIC + _u32(*a.shape) + bytes([_KIND_DENSE])
+            head = [_MAGIC, _u32(*a.shape), bytes([_KIND_DENSE])]
         else:
             raise BPR1Error(f"cannot save array of shape {a.shape}")
-        payload = head + _entry_bytes(a)
-    path.write_bytes(payload)
+        arrays = (a,)
+    with open(path, "wb") as fh:
+        fh.write(b"".join(head))
+        for a in arrays:
+            # complex128 is exactly interleaved (re, im) float64 pairs
+            fh.write(np.ascontiguousarray(a, dtype="<c16").data)
 
 
-def _read_exact(buf: bytes, offset: int, n: int) -> tuple[bytes, int]:
-    if offset + n > len(buf):
+def _require(fh: BinaryIO, size: int, n: int) -> None:
+    """Raise unless ``n`` of the file's ``size`` bytes are left to read.
+
+    Checked before a read allocates, so a header declaring more than the
+    file holds raises however large it is.
+    """
+    if n > size - fh.tell():
         raise BPR1Error("truncated BPR1 file")
-    return buf[offset : offset + n], offset + n
 
 
-def _read_entries(buf: bytes, offset: int, shape: tuple[int, ...]) -> tuple[np.ndarray, int]:
-    data, offset = _read_exact(buf, offset, 16 * math.prod(shape))
-    return np.frombuffer(data, dtype="<c16").astype(np.complex128).reshape(shape), offset
+def _read_exact(fh: BinaryIO, size: int, n: int) -> bytes:
+    _require(fh, size, n)
+    data = fh.read(n)
+    if len(data) != n:
+        raise BPR1Error("truncated BPR1 file")
+    return data
+
+
+def _read_entries(fh: BinaryIO, size: int, shape: tuple[int, ...]) -> np.ndarray:
+    """The next ``shape`` entries, read straight into a fresh array."""
+    n = 16 * math.prod(shape)
+    _require(fh, size, n)
+    out = np.empty(shape, dtype="<c16")
+    if fh.readinto(out.reshape(-1).view(np.uint8)) != n:
+        raise BPR1Error("truncated BPR1 file")
+    return out.astype(np.complex128, copy=False)
 
 
 def load_bpr1(path: str | Path) -> Saveable:
-    """Read a BPR1 file; returns ndarray (1-D or 2-D) or KRBDMatrix."""
-    buf = Path(path).read_bytes()
-    magic, off = _read_exact(buf, 0, 4)
-    if magic != _MAGIC:
-        raise BPR1Error(f"bad magic {magic!r}, expected {_MAGIC!r}")
-    head, off = _read_exact(buf, off, 9)
-    rows, cols, kind = struct.unpack("<IIB", head)
-    if kind == _KIND_VECTOR:
-        if cols != 1:
-            raise BPR1Error("vector payload must have cols == 1")
-        out, off = _read_entries(buf, off, (rows,))
-    elif kind == _KIND_DENSE:
-        out, off = _read_entries(buf, off, (rows, cols))
-    elif kind == _KIND_KRBD:
-        kbytes, off = _read_exact(buf, off, 4)
-        k = struct.unpack("<I", kbytes)[0]
-        shapes = []
-        for _ in range(k):
-            h, off = _read_exact(buf, off, 8)
-            shapes.append(struct.unpack("<II", h))
-        blocks = []
-        for shape in shapes:
-            block, off = _read_entries(buf, off, shape)
-            blocks.append(block)
-        try:
-            out = KRBDMatrix(tuple(blocks))
-        except ValueError as exc:
-            raise BPR1Error(f"bad block headers or entries: {exc}") from None
-        if out.shape != (rows, cols):
-            raise BPR1Error("block headers inconsistent with overall shape")
-    else:
-        raise BPR1Error(f"unknown BPR1 kind flag {kind}")
-    if off != len(buf):
-        raise BPR1Error(f"{len(buf) - off} trailing bytes after the BPR1 payload")
+    """Read a BPR1 file; returns ndarray (1-D or 2-D) or KRBDMatrix.
+
+    Each payload is read straight into the array returned. Vectors and
+    dense matrices come back writeable; KRBD blocks come back read-only, so
+    the KRBDMatrix holds them without a copy.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        magic = _read_exact(fh, size, 4)
+        if magic != _MAGIC:
+            raise BPR1Error(f"bad magic {magic!r}, expected {_MAGIC!r}")
+        rows, cols, kind = struct.unpack("<IIB", _read_exact(fh, size, 9))
+        if kind == _KIND_VECTOR:
+            if cols != 1:
+                raise BPR1Error("vector payload must have cols == 1")
+            out = _read_entries(fh, size, (rows,))
+        elif kind == _KIND_DENSE:
+            out = _read_entries(fh, size, (rows, cols))
+        elif kind == _KIND_KRBD:
+            k = struct.unpack("<I", _read_exact(fh, size, 4))[0]
+            dims = struct.unpack(f"<{2 * k}I", _read_exact(fh, size, 8 * k))
+            blocks = []
+            for shape in zip(dims[::2], dims[1::2]):
+                block = _read_entries(fh, size, shape)
+                block.setflags(write=False)
+                blocks.append(block)
+            try:
+                out = KRBDMatrix(tuple(blocks))
+            except ValueError as exc:
+                raise BPR1Error(f"bad block headers or entries: {exc}") from None
+            if out.shape != (rows, cols):
+                raise BPR1Error("block headers inconsistent with overall shape")
+        else:
+            raise BPR1Error(f"unknown BPR1 kind flag {kind}")
+        trailing = size - fh.tell()
+    if trailing:
+        raise BPR1Error(f"{trailing} trailing bytes after the BPR1 payload")
     return out

@@ -1,9 +1,11 @@
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from blockpr import bench
 from blockpr.bench import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -13,7 +15,9 @@ from blockpr.bench import (
     select_k,
     sweep,
 )
-from blockpr.forward import measure
+from blockpr.core import KRBDMatrix
+from blockpr.forward import NoiseSpec, add_noise_intensity, measure
+from blockpr.rng import complex_normal, generator, mix_seed
 from blockpr.solvers import SolverSpec, WFParams
 
 
@@ -56,6 +60,77 @@ def test_gen_instance_clean_tuning_flag():
     assert not np.array_equal(instance.base.measurements, noisy)
 
 
+@pytest.mark.parametrize("shape", [(), 17, (5, 3), (768, 128)])
+@pytest.mark.parametrize("seed", [0, 1, 2**63 + 5])
+def test_complex_normal_matches_the_complex_formula(seed, shape):
+    # filling one complex array in place gives the same bits as building it
+    # from the two real draws
+    rng = generator(seed)
+    re = rng.standard_normal(shape)
+    im = rng.standard_normal(shape)
+    want = (re + 1j * im) / np.sqrt(2.0)
+    got = complex_normal(generator(seed), shape)
+    assert got.shape == np.shape(want) and got.dtype == np.complex128
+    assert got.tobytes() == np.asarray(want).tobytes()
+
+
+def _serial_instance(cfg, seed):
+    """gen_instance's arrays drawn one after another from the same seed lanes."""
+    k = cfg.resolved_k()
+    n_i = cfg.n // k
+    x = complex_normal(generator(mix_seed(seed, bench._LANE_X, 0)), cfg.n)
+    op = KRBDMatrix(tuple(
+        complex_normal(generator(mix_seed(seed, bench._LANE_BLOCK_MATRIX, i)),
+                       (round(cfg.alpha * n_i), n_i))
+        for i in range(k)
+    ))
+    a = complex_normal(generator(mix_seed(seed, bench._LANE_TUNING_MATRIX, 0)),
+                       (round(cfg.beta * k), cfg.n))
+    y = add_noise_intensity(measure(op, x, "intensity"),
+                            NoiseSpec(cfg.snr_db, mix_seed(seed, bench._LANE_NOISE_Y, 0)))
+    y_t = add_noise_intensity(measure(a, x, "intensity"),
+                              NoiseSpec(cfg.snr_db, mix_seed(seed, bench._LANE_NOISE_TUNING, 0)))
+    return [*op.blocks, y, a, y_t, x]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_gen_instance_threads_match_a_serial_build(monkeypatch, cpus):
+    # the draws run on min(draws, CPUs) threads, which are all joined on return
+    pools = []
+    pool_class = bench.ThreadPoolExecutor
+
+    def recording_pool(max_workers):
+        pools.append(max_workers)
+        return pool_class(max_workers=max_workers)
+
+    monkeypatch.setattr(bench, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(bench, "ThreadPoolExecutor", recording_pool)
+    cfg = ExperimentConfig(n=256, trials=1)
+    threads = threading.active_count()
+    instance, x = gen_instance(cfg, trial_seed=17)
+    assert threading.active_count() == threads
+    assert pools == [cpus]
+    got = [*instance.base.operator.blocks, instance.base.measurements,
+           instance.tuning_matrix, instance.tuning_measurements, x]
+    want = _serial_instance(cfg, 17)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_gen_instance_keeps_its_draws_without_a_copy(monkeypatch):
+    # each drawn matrix is read-only, so the instance holds it as drawn
+    drawn = []
+    draw = bench._draw_matrix
+
+    def recording_draw(seed, shape):
+        drawn.append(draw(seed, shape))
+        return drawn[-1]
+
+    monkeypatch.setattr(bench, "_draw_matrix", recording_draw)
+    instance, _ = gen_instance(ExperimentConfig(n=64, trials=1), trial_seed=3)
+    kept = [instance.tuning_matrix, *instance.base.operator.blocks]
+    assert sorted(map(id, kept)) == sorted(map(id, drawn))
+
+
 def test_config_validation():
     # K is checked against n, alpha and beta once resolved, explicit and auto
     # alike, so a sweep template stays valid and only the failing point fails
@@ -71,6 +146,25 @@ def test_config_validation():
         ExperimentConfig(n=64, alpha=6.1, trials=1).resolved_k()
     cfg = ExperimentConfig(n=1024, k="auto", trials=1)
     assert cfg.resolved_k() == 8
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"alpha": 3.0}, r"alpha\*\(n/k\) = 3.0\*16 gives 48 rows .* bound 4\*16 - 4 = 60"),
+    ({"beta": 2.0}, r"beta\*k = 2.0\*4 gives 8 rows .* bound 4\*4 - 4 = 12"),
+], ids=["alpha", "beta"])
+def test_config_rejects_problems_below_the_injectivity_bound(fields, message):
+    # a block needs alpha*n_i >= 4 n_i - 4 rows, and the tuning step
+    # round(beta*K) >= 4K - 4; at the bound itself the config is accepted
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(n=64, k=4, trials=1, **fields).resolved_k()
+    assert ExperimentConfig(n=64, k=4, alpha=3.75, beta=3, trials=1).resolved_k() == 4
+    assert ExperimentConfig(n=4, k=1, alpha=3, beta=1, trials=1).resolved_k() == 1
+
+
+def test_sweep_records_points_below_the_injectivity_bound():
+    table = sweep(small_cfg(alpha=3), k_list=[8, 4])  # n_i = 4 meets the bound, 8 does not
+    assert table.rows[0].error is None
+    assert "injectivity bound" in table.rows[1].error
 
 
 # ---------------------------------------------------------------- select_k
@@ -166,9 +260,13 @@ def test_sweep_n_noiseless_accuracy():
 
 
 def test_sweep_k_blocking_time_decreases():
+    # the K = 4 -> 8 step has little margin, so one sweep's reading can swap
+    # under CPU contention; the gate reads each point's median over three sweeps
     cfg = ExperimentConfig(n=1024, k=2, snr_db=30.0, trials=2, seed=10, parallelism=1)
-    table = sweep(cfg, k_list=[1, 2, 4, 8])
-    blocking = [r.blocking_s for r in table.rows]
+    tables = [sweep(cfg, k_list=[1, 2, 4, 8]) for _ in range(3)]
+    assert all(len(t.rows) == 4 for t in tables)
+    assert all(r.error is None for t in tables for r in t.rows)
+    blocking = np.median([[r.blocking_s for r in t.rows] for t in tables], axis=0)
     assert all(b1 > b2 for b1, b2 in zip(blocking, blocking[1:]))
 
 

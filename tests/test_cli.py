@@ -1,11 +1,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from blockpr.bench import CSV_COLUMNS
 from blockpr.cli import main
-from blockpr.io import load_bpr1
+from blockpr.core import KRBDMatrix
+from blockpr.io import load_bpr1, save_bpr1
+from blockpr.rng import complex_normal, generator
 
 
 def run_cli(args):
@@ -103,6 +106,21 @@ def test_gen_invalid_auto_k_config_exit_code(tmp_path, capsys, flags, message):
     out = tmp_path / "inst"
     assert run_cli(["gen", *flags, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"invalid config: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["gen", "--n", "64", "--alpha", "3", "--out", "OUT"],
+    ["gen", "--n", "2048", "--beta", "1", "--out", "OUT"],
+    ["table1", "--n-list", "256,64", "--beta", "2", "--trials", "1", "--out", "OUT"],
+], ids=["gen-alpha", "gen-beta", "table1"])
+def test_config_below_the_injectivity_bound_exit_code(tmp_path, capsys, command):
+    # too few rows per block or tuning rows to determine the signal: exit 2
+    # before anything is written or solved
+    out = tmp_path / "out"
+    assert run_cli([str(out) if tok == "OUT" else tok for tok in command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: ") and "injectivity bound" in err
     assert not out.exists()
 
 
@@ -226,6 +244,32 @@ def test_solve_malformed_instance_dir_exit_code(instance_dir, capsys, damage, me
     err = capsys.readouterr().err
     assert err.startswith(f"i/o error: {instance_dir}: ") and message in err
     assert err.count("\n") == 1
+
+
+def _thin_blocks(d):
+    """Replace the instance's 48 x 8 blocks by 20 x 8 ones, below 4*8 - 4 = 28 rows."""
+    rng = generator(1)
+    save_bpr1(d / "h.bpr1", KRBDMatrix(tuple(complex_normal(rng, (20, 8)) for _ in range(2))))
+    save_bpr1(d / "y.bpr1", np.ones(40, dtype=complex))
+
+
+def _few_tuning_rows(d):
+    """Keep 3 of the 40 tuning rows, below 4*K - 4 = 4 for K = 2."""
+    save_bpr1(d / "a.bpr1", load_bpr1(d / "a.bpr1")[:3])
+    save_bpr1(d / "ty.bpr1", load_bpr1(d / "ty.bpr1")[:3])
+    _set_meta(d, beta=1.5)
+
+
+@pytest.mark.parametrize("damage, message", [
+    (_thin_blocks, "block 0 of h.bpr1 gives 20 rows for 8 unknowns"),
+    (_few_tuning_rows, "the tuning matrix a.bpr1 for K = 2 gives 3 rows for 2 unknowns"),
+], ids=["block", "tuning"])
+def test_solve_rejects_instance_below_the_injectivity_bound(instance_dir, capsys, damage, message):
+    damage(instance_dir)
+    assert run_cli(["solve", str(instance_dir)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"i/o error: {instance_dir}: {message}, below the phase-retrieval "
+                          f"injectivity bound")
 
 
 def test_solve_reads_instance_dirs_written_with_matrix_kind(instance_dir, capsys):

@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -81,6 +84,62 @@ def test_krbd_bad_block_headers(tmp_path):
     (tmp_path / "k0.bpr1").write_bytes(b"BPR1" + bytes(8) + b"\x02" + bytes(4))
     with pytest.raises(BPR1Error, match="block headers"):
         load_bpr1(tmp_path / "k0.bpr1")
+
+
+@pytest.mark.parametrize("head", [
+    struct.pack("<IIB", 2**31, 2**31, 1),
+    struct.pack("<IIBIII", 2**31, 2**31, 2, 1, 2**31, 2**31),
+    struct.pack("<IIBI", 2**31, 2**31, 2, 2**32 - 1),
+], ids=["dense", "krbd-block", "krbd-count"])
+def test_huge_header_on_a_short_file_is_truncated(tmp_path, head):
+    # the payload is checked against the bytes left before anything is
+    # allocated, so a 2^31 x 2^31 header raises BPR1Error, not MemoryError
+    (tmp_path / "big.bpr1").write_bytes(b"BPR1" + head + bytes(16))
+    with pytest.raises(BPR1Error, match="truncated"):
+        load_bpr1(tmp_path / "big.bpr1")
+
+
+def _traced_peak(fn):
+    """``fn()`` and the most memory it held at once beyond what was held before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def krbd_4mb():
+    rng = generator(8)
+    return KRBDMatrix(tuple(complex_normal(rng, (256, 64)) for _ in range(16)))
+
+
+def test_save_bpr1_writes_the_arrays_own_buffers(tmp_path, krbd_4mb):
+    _, peak = _traced_peak(lambda: save_bpr1(tmp_path / "k.bpr1", krbd_4mb))
+    assert (tmp_path / "k.bpr1").stat().st_size > 4e6
+    assert peak < 1e6
+
+
+def test_load_bpr1_reads_straight_into_the_arrays(tmp_path, krbd_4mb):
+    # the blocks returned are the only copy of the payload
+    save_bpr1(tmp_path / "k.bpr1", krbd_4mb)
+    back, peak = _traced_peak(lambda: load_bpr1(tmp_path / "k.bpr1"))
+    assert peak <= 1.1 * (tmp_path / "k.bpr1").stat().st_size
+    assert _same(krbd_4mb, back)
+
+
+def test_only_krbd_blocks_load_read_only(tmp_path):
+    # KRBDMatrix keeps read-only blocks as they are; vectors and dense
+    # matrices are the caller's to change
+    rng = generator(4)
+    save_bpr1(tmp_path / "k.bpr1", KRBDMatrix((complex_normal(rng, (3, 1)),)))
+    save_bpr1(tmp_path / "v.bpr1", complex_normal(rng, 3))
+    save_bpr1(tmp_path / "m.bpr1", complex_normal(rng, (3, 2)))
+    assert not load_bpr1(tmp_path / "k.bpr1").blocks[0].flags.writeable
+    assert load_bpr1(tmp_path / "v.bpr1").flags.writeable
+    assert load_bpr1(tmp_path / "m.bpr1").flags.writeable
 
 
 # any complex128 value, NaN payloads and infinities included, round-trips

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from blockpr import pipeline
-from blockpr.bench import ExperimentConfig, gen_instance
+from blockpr.bench import _LANE_TUNING_MATRIX, _LANE_X, ExperimentConfig, gen_instance
 from blockpr.core import BlockPartition, BlockPRInstance, PRInstance
 from blockpr.forward import measure, nmse
 from blockpr.pipeline import (
@@ -305,15 +305,20 @@ def test_phase_tune_recovers_injected_phases(k):
 
 def test_phase_tune_beta_one_fails_sometimes():
     # L = K leaves the tuning system underdetermined in practice; the run
-    # must flag non-convergence rather than silently pretend success
+    # must flag non-convergence rather than silently pretend success. A
+    # config with beta = 1 is below the injectivity bound, so the signal and
+    # the tuning rows are drawn directly, from gen_instance's seed lanes
+    part = BlockPartition((96,) * 4, (16,) * 4)
     non_converged = 0
     for t in range(10):
-        instance, x = make_block_instance(mix_seed(333, t), k=4, n_i=16, beta=1.0)
-        xs = [x[cs] for cs in instance.partition.col_slices()]
+        seed = mix_seed(333, t)
+        x = complex_normal(generator(mix_seed(seed, _LANE_X, 0)), 64)
+        a = complex_normal(generator(mix_seed(seed, _LANE_TUNING_MATRIX, 0)), (4, 64))
+        xs = [x[cs] for cs in part.col_slices()]
         phases = generator(mix_seed(334, t)).uniform(0, 2 * np.pi, 4)
         shifted = [xi * np.exp(1j * p) for xi, p in zip(xs, phases)]
-        b = build_tuning_matrix(shifted, instance.tuning_matrix, instance.partition)
-        y_t = measure(instance.tuning_matrix, x, "magnitude")
+        b = build_tuning_matrix(shifted, a, part)
+        y_t = measure(a, x, "magnitude")
         d, rep = phase_tune(b, y_t, SolverSpec("unit_modulus_tuner", seed=6, restarts=10))
         err = nmse(x, merge(shifted, d))
         if not rep.converged or err > 1e-6:

@@ -79,7 +79,7 @@ NON_DEFAULT = {
     "--config": (["CFG"], []),
     "--n": (["64"], []),
     "--k": (["4"], []),
-    "--alpha": (["3"], []),
+    "--alpha": (["5"], []),
     "--beta": (["5"], []),
     "--snr": (["10"], []),
     "--noisy-tuning": ([], ["--clean-tuning"]),
@@ -95,7 +95,7 @@ NON_DEFAULT = {
     "--compare-monolithic": ([], []),
 }
 # a non-default config-file value for every ExperimentConfig field
-NON_DEFAULT_FIELD = {"n": 64, "k": 4, "alpha": 3, "beta": 5, "snr_db": 10, "trials": 2,
+NON_DEFAULT_FIELD = {"n": 64, "k": 4, "alpha": 5, "beta": 5, "snr_db": 10, "trials": 2,
                      "seed": 7, "solver": "altproj", "noisy_tuning": False, "parallelism": 2,
                      "output_path": "OUT"}
 # read by the command itself, outside the ExperimentConfig and the trials
