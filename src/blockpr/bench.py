@@ -155,16 +155,17 @@ def _require_injective(rows: int, unknowns: int, what: str) -> None:
                          f"phase-retrieval injectivity bound 4*{unknowns} - 4 = {4 * unknowns - 4}")
 
 
-def _draw_matrix(seed: int, shape: tuple[int, int]) -> np.ndarray:
-    a = complex_normal(generator(seed), shape)
+def _draw_matrix(seed: int, shape: tuple[int, int], dtype) -> np.ndarray:
+    a = complex_normal(generator(seed), shape).astype(dtype, copy=False)
     a.setflags(write=False)  # KRBDMatrix and BlockPRInstance keep it without a copy
     return a
 
 
-def _draw_matrices(draws: list[tuple[int, tuple[int, int]]]) -> list[np.ndarray]:
-    """The Gaussian matrix of each (seed, shape) draw, in order.
+def _draw_matrices(draws: list[tuple[int, tuple[int, int], type]]) -> list[np.ndarray]:
+    """The Gaussian matrix of each (seed, shape, dtype) draw, in order.
 
-    The draws run on threads, largest first, since numpy fills normal
+    Each is drawn in complex128 and rounded to its dtype on its thread. The
+    draws run on threads, largest first, since numpy fills normal
     samples with the GIL released. The pool is joined before this returns:
     the blocking step may fork, and no thread may outlive generation.
     """
@@ -175,14 +176,21 @@ def _draw_matrices(draws: list[tuple[int, tuple[int, int]]]) -> list[np.ndarray]
 
 
 def gen_instance(cfg: ExperimentConfig, trial_seed: int) -> tuple[BlockPRInstance, np.ndarray]:
-    """Draw one synthetic problem and its ground truth under ``trial_seed``."""
+    """Draw one synthetic problem and its ground truth under ``trial_seed``.
+
+    The blocks are drawn in complex128 and rounded to complex64, the
+    precision :class:`~blockpr.core.KRBDMatrix` stores; their intensities
+    are measured from the rounded blocks in complex128 arithmetic, so a
+    noiseless instance is exact. The tuning matrix stays complex128.
+    """
     k = cfg.resolved_k()
     n_i = cfg.n // k
     m_i = math.ceil(cfg.alpha * n_i - 1e-9)
     ell = round(cfg.beta * k)
     x = complex_normal(generator(mix_seed(trial_seed, _LANE_X, 0)), cfg.n)
-    draws = [(mix_seed(trial_seed, _LANE_TUNING_MATRIX, 0), (ell, cfg.n))]
-    draws += [(mix_seed(trial_seed, _LANE_BLOCK_MATRIX, i), (m_i, n_i)) for i in range(k)]
+    draws = [(mix_seed(trial_seed, _LANE_TUNING_MATRIX, 0), (ell, cfg.n), np.complex128)]
+    draws += [(mix_seed(trial_seed, _LANE_BLOCK_MATRIX, i), (m_i, n_i), np.complex64)
+              for i in range(k)]
     a_mat, *blocks = _draw_matrices(draws)
     op = KRBDMatrix(tuple(blocks))
 
@@ -224,8 +232,9 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int,
     """Generate an instance, run the block pipeline, optionally time the baseline.
 
     The monolithic baseline runs the same base solver on the densified
-    block-diagonal matrix (without the tuning rows), seeded as the one-block
-    case so K = 1 comparisons are exact.
+    block-diagonal matrix (without the tuning rows; complex64, as the
+    blocks are), seeded as the one-block case so K = 1 comparisons are
+    exact.
     """
     instance, x = gen_instance(cfg, trial_seed)
     block_spec = replace(cfg.solver, seed=trial_seed)

@@ -206,6 +206,9 @@ def _load_instance(path: Path) -> tuple[BlockPRInstance, np.ndarray | None]:
         op = bprio.load_bpr1(path / "h.bpr1")
         y = np.real(bprio.load_bpr1(path / "y.bpr1"))
         a_mat = bprio.load_bpr1(path / "a.bpr1")
+        if not isinstance(a_mat, np.ndarray):
+            raise ValueError("a.bpr1 holds a KRBD matrix, expected a dense tuning matrix")
+        a_mat.setflags(write=False)  # BlockPRInstance keeps it as loaded, without a copy
         y_t = np.real(bprio.load_bpr1(path / "ty.bpr1"))
         base = PRInstance(op, y, meta["kind"])
         instance = BlockPRInstance(base, a_mat, y_t, meta["beta"])

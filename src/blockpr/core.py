@@ -1,14 +1,20 @@
 """Domain types for block-structured phase retrieval problems.
 
-Vectors and dense matrices are plain numpy arrays (complex128, i.e. two
-64-bit floats per entry); the validators :func:`as_complex_vector` and
-:func:`as_dense_matrix` enforce the shape/finiteness contracts at
-construction boundaries. Structured containers (:class:`BlockPartition`,
-:class:`KRBDMatrix`, :class:`PRInstance`, :class:`BlockPRInstance`) are
-frozen dataclasses whose stored arrays are marked read-only, so every type
-here is immutable after construction and shared copy-on-write by forked
-workers. Measurements are intensities |H x|^2; a solver that needs
-magnitudes takes their square roots itself.
+Vectors and dense matrices are plain numpy arrays; the validators
+:func:`as_complex_vector` and :func:`as_dense_matrix` enforce the
+shape/finiteness contracts at construction boundaries. Structured
+containers (:class:`BlockPartition`, :class:`KRBDMatrix`,
+:class:`PRInstance`, :class:`BlockPRInstance`) are frozen dataclasses whose
+stored arrays are marked read-only and C-contiguous, so every type here is
+immutable after construction and shared copy-on-write by forked workers.
+Measurements are intensities |H x|^2; a solver that needs magnitudes takes
+their square roots itself.
+
+K-RBD blocks are complex64 (two 32-bit floats per entry): they are what
+the blocking step iterates on, and single precision halves their memory
+and their matrix-vector products' time. Everything else (signals,
+estimates, the tuning matrix) is complex128 and measurements are float64;
+a dense operator keeps complex64 or complex128 as given.
 """
 
 from __future__ import annotations
@@ -30,15 +36,21 @@ __all__ = [
 ]
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
+def _frozen(a: np.ndarray, dtype) -> np.ndarray:
+    """``a`` as a read-only, C-contiguous ``dtype`` array: ``a`` itself if it is one, else one copy.
+
+    A value beyond ``dtype``'s range becomes infinite, for the caller's
+    finiteness check to reject.
+    """
     if (
         isinstance(a, np.ndarray)
-        and a.dtype == np.complex128
+        and a.dtype == dtype
         and a.flags.c_contiguous
         and not a.flags.writeable
     ):
         return a
-    a = np.array(a, dtype=np.complex128, order="C")
+    with np.errstate(over="ignore"):
+        a = np.array(a, dtype=dtype, order="C")
     a.setflags(write=False)
     return a
 
@@ -53,9 +65,9 @@ def as_complex_vector(x, *, check_finite: bool = True) -> np.ndarray:
     return a
 
 
-def as_dense_matrix(a, *, check_finite: bool = True) -> np.ndarray:
-    """Coerce to a 2-D complex128 array with positive dimensions."""
-    m = np.asarray(a, dtype=np.complex128)
+def as_dense_matrix(a, *, check_finite: bool = True, dtype=np.complex128) -> np.ndarray:
+    """Coerce to a 2-D ``dtype`` array with positive dimensions."""
+    m = np.asarray(a, dtype=dtype)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
     if m.shape[0] == 0 or m.shape[1] == 0:
@@ -110,17 +122,21 @@ class BlockPartition:
 class KRBDMatrix:
     """K-rectangular-block-diagonal matrix: only the diagonal blocks are stored.
 
-    ``KRBDMatrix(blocks)`` takes the K diagonal blocks (2-D, nonempty,
-    finite) and derives ``partition`` from their shapes. The logical full
-    matrix is zero outside the blocks; those zeros are never materialized
-    except by an explicit :meth:`to_dense`.
+    ``KRBDMatrix(blocks)`` takes the K diagonal blocks (2-D, nonempty)
+    and derives ``partition`` from their shapes. Each block is stored as a
+    read-only, C-contiguous complex64 array: one that already is one is
+    kept as it is, any other is cast once. An entry that is not finite
+    after the cast, one beyond float32's range included, raises
+    ValueError. The logical full matrix is zero outside the blocks; those
+    zeros are never materialized except by an explicit :meth:`to_dense`.
     """
 
     blocks: tuple[np.ndarray, ...]
     partition: BlockPartition = field(init=False)
 
     def __post_init__(self):
-        blocks = tuple(_frozen(as_dense_matrix(b)) for b in self.blocks)
+        blocks = tuple(as_dense_matrix(_frozen(b, np.complex64), dtype=np.complex64)
+                       for b in self.blocks)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "partition", BlockPartition(
             tuple(b.shape[0] for b in blocks), tuple(b.shape[1] for b in blocks)))
@@ -134,8 +150,8 @@ class KRBDMatrix:
         return self.partition.n_blocks
 
     def to_dense(self) -> np.ndarray:
-        """Materialize the full matrix, zeros included."""
-        full = np.zeros(self.shape, dtype=np.complex128)
+        """Materialize the full matrix, zeros included, in the blocks' complex64."""
+        full = np.zeros(self.shape, dtype=np.complex64)
         for b, rs, cs in zip(self.blocks, self.partition.row_slices(), self.partition.col_slices()):
             full[rs, cs] = b
         return full
@@ -158,6 +174,8 @@ class PRInstance:
 
     ``measurements`` holds the intensities |op @ x|^2 of the unknown signal
     x; ``kind`` must be "intensity", and any other kind raises ValueError.
+    A dense ``operator`` is kept in complex64 or complex128 as given; any
+    other dtype becomes complex128.
     ``snr_db`` is noise metadata only (math.inf or None means noiseless).
     """
 
@@ -179,11 +197,13 @@ class PRInstance:
         object.__setattr__(self, "measurements", meas)
         if self.kind != "intensity":
             raise ValueError(f"measurements must be intensities, got kind {self.kind!r}")
-        if isinstance(self.operator, KRBDMatrix):
-            rows = self.operator.shape[0]
-        else:
-            object.__setattr__(self, "operator", _frozen(as_dense_matrix(self.operator)))
-            rows = self.operator.shape[0]
+        if not isinstance(self.operator, KRBDMatrix):
+            dtype = getattr(self.operator, "dtype", None)
+            if dtype not in (np.complex64, np.complex128):
+                dtype = np.complex128
+            op = as_dense_matrix(_frozen(self.operator, dtype), dtype=dtype)
+            object.__setattr__(self, "operator", op)
+        rows = self.operator.shape[0]
         if len(meas) != rows:
             raise ValueError(f"got {len(meas)} measurements for {rows} operator rows")
 
@@ -210,7 +230,7 @@ class BlockPRInstance:
     def __post_init__(self):
         if not isinstance(self.base.operator, KRBDMatrix):
             raise ValueError("base operator must be a KRBDMatrix")
-        tm = _frozen(as_dense_matrix(self.tuning_matrix))
+        tm = as_dense_matrix(_frozen(self.tuning_matrix, np.complex128))
         object.__setattr__(self, "tuning_matrix", tm)
         ty = np.asarray(self.tuning_measurements, dtype=np.float64)
         if ty.ndim != 1 or np.any(ty < 0) or not np.all(np.isfinite(ty)):

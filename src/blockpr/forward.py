@@ -53,7 +53,11 @@ class NoiseSpec:
 
 
 def apply(op: Operator, x: np.ndarray) -> np.ndarray:
-    """Matrix-vector product H @ x; block-diagonal operators multiply blockwise."""
+    """Matrix-vector product H @ x; block-diagonal operators multiply blockwise.
+
+    The product is complex128: a complex64 operator is multiplied in
+    complex128 arithmetic, so measuring its exact entries loses nothing.
+    """
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim != 1:
         raise ValueError(f"expected a 1-D signal, got shape {x.shape}")

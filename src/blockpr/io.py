@@ -1,11 +1,15 @@
 """BPR1 binary interchange format.
 
 BPR1 layout: magic bytes ``BPR1``, u32 little-endian rows, u32 cols, u8
-kind flag (0 = vector, 1 = dense, 2 = krbd). A krbd payload continues with
-u32 K and K per-block (u32 rows, u32 cols) headers. Entries follow as
-float64 little-endian interleaved (re, im) pairs, row-major, blocks in
-order for krbd, and end the file. A malformed file, or an array whose
-dimensions do not fit a u32, raises :class:`BPR1Error`.
+kind flag (0 = vector, 1 = dense, 2 = krbd, 3 = krbd in single precision).
+A krbd payload continues with u32 K and K per-block (u32 rows, u32 cols)
+headers. Entries follow as interleaved (re, im) little-endian pairs,
+row-major, blocks in order for krbd, and end the file: float64 pairs
+(16 bytes per entry) for kinds 0-2, float32 pairs (8 bytes) for kind 3.
+:func:`save_bpr1` writes every :class:`~blockpr.core.KRBDMatrix` as kind 3,
+since its blocks are complex64; a kind-2 file still loads, with its blocks
+rounded to complex64. A malformed file, or an array whose dimensions do
+not fit a u32, raises :class:`BPR1Error`.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ _MAGIC = b"BPR1"
 _KIND_VECTOR = 0
 _KIND_DENSE = 1
 _KIND_KRBD = 2
+_KIND_KRBD32 = 3
 
 Saveable = Union[np.ndarray, KRBDMatrix]
 
@@ -44,12 +49,13 @@ def save_bpr1(path: str | Path, obj: Saveable) -> None:
     """Write a vector, dense matrix, or KRBD matrix in BPR1 format.
 
     Each array's buffer goes to the file as it is; only an array that is
-    not C-ordered little-endian complex128 is converted first.
+    not C-ordered little-endian complex128 (complex64 for KRBD blocks) is
+    converted first.
     """
     if isinstance(obj, KRBDMatrix):
-        head = [_MAGIC, _u32(*obj.shape), bytes([_KIND_KRBD]), _u32(obj.n_blocks)]
+        head = [_MAGIC, _u32(*obj.shape), bytes([_KIND_KRBD32]), _u32(obj.n_blocks)]
         head += [_u32(*b.shape) for b in obj.blocks]
-        arrays = obj.blocks
+        arrays, dtype = obj.blocks, "<c8"
     else:
         a = np.asarray(obj, dtype=np.complex128)
         if a.ndim == 1:
@@ -58,12 +64,12 @@ def save_bpr1(path: str | Path, obj: Saveable) -> None:
             head = [_MAGIC, _u32(*a.shape), bytes([_KIND_DENSE])]
         else:
             raise BPR1Error(f"cannot save array of shape {a.shape}")
-        arrays = (a,)
+        arrays, dtype = (a,), "<c16"
     with open(path, "wb") as fh:
         fh.write(b"".join(head))
         for a in arrays:
-            # complex128 is exactly interleaved (re, im) float64 pairs
-            fh.write(np.ascontiguousarray(a, dtype="<c16").data)
+            # a complex array is exactly its interleaved (re, im) float pairs
+            fh.write(np.ascontiguousarray(a, dtype=dtype).data)
 
 
 def _require(fh: BinaryIO, size: int, n: int) -> None:
@@ -84,22 +90,25 @@ def _read_exact(fh: BinaryIO, size: int, n: int) -> bytes:
     return data
 
 
-def _read_entries(fh: BinaryIO, size: int, shape: tuple[int, ...]) -> np.ndarray:
-    """The next ``shape`` entries, read straight into a fresh array."""
-    n = 16 * math.prod(shape)
+def _read_entries(fh: BinaryIO, size: int, shape: tuple[int, ...],
+                  dtype: str = "<c16") -> np.ndarray:
+    """The next ``shape`` entries of ``dtype``, read straight into a fresh array."""
+    out_dtype = np.dtype(dtype)
+    n = out_dtype.itemsize * math.prod(shape)
     _require(fh, size, n)
-    out = np.empty(shape, dtype="<c16")
+    out = np.empty(shape, dtype=out_dtype)
     if fh.readinto(out.reshape(-1).view(np.uint8)) != n:
         raise BPR1Error("truncated BPR1 file")
-    return out.astype(np.complex128, copy=False)
+    return out.astype(out_dtype.type, copy=False)
 
 
 def load_bpr1(path: str | Path) -> Saveable:
     """Read a BPR1 file; returns ndarray (1-D or 2-D) or KRBDMatrix.
 
     Each payload is read straight into the array returned. Vectors and
-    dense matrices come back writeable; KRBD blocks come back read-only, so
-    the KRBDMatrix holds them without a copy.
+    dense matrices come back writeable complex128; kind-3 KRBD blocks come
+    back read-only complex64, so the KRBDMatrix holds them without a copy.
+    Kind-2 blocks are read as complex128 and rounded by the KRBDMatrix.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -113,12 +122,13 @@ def load_bpr1(path: str | Path) -> Saveable:
             out = _read_entries(fh, size, (rows,))
         elif kind == _KIND_DENSE:
             out = _read_entries(fh, size, (rows, cols))
-        elif kind == _KIND_KRBD:
+        elif kind in (_KIND_KRBD, _KIND_KRBD32):
             k = struct.unpack("<I", _read_exact(fh, size, 4))[0]
             dims = struct.unpack(f"<{2 * k}I", _read_exact(fh, size, 8 * k))
+            dtype = "<c8" if kind == _KIND_KRBD32 else "<c16"
             blocks = []
             for shape in zip(dims[::2], dims[1::2]):
-                block = _read_entries(fh, size, shape)
+                block = _read_entries(fh, size, shape, dtype)
                 block.setflags(write=False)
                 blocks.append(block)
             try:

@@ -38,10 +38,19 @@ iterations and QR factorization.
 The solvers run on dense operators only: the pipeline hands them one
 diagonal block at a time, and a :class:`~blockpr.core.KRBDMatrix` raises
 ``TypeError``.
+
+Precision follows the operator. The spectral start and the WF iteration
+compute in the operator's dtype, with float32 real vectors for a complex64
+block (the K-RBD blocks are complex64), since a product of a complex64
+matrix with a complex128 vector would cast the whole matrix. WF finishes
+in complex128 once its residual is at most 1e-5, and every solver returns
+complex128. The QR factor, and with it the alternating-projections and
+tuner iterations, is complex128 whatever the operator's precision.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -81,6 +90,11 @@ _STALL_RTOL = 1e-3
 # the spectral start's power iteration ends once ||v_k - v_{k-1}|| <= this
 # (unit iterates); init_power_iters stays the cap
 _SPECTRAL_STEP_TOL = 1e-3
+# wf_solve iterates in its operator's precision until the residual first
+# reaches this, then finishes in complex128. A complex64 iteration floors near
+# 1e-7, above WF's tol, so without the finish a noiseless run could not stop on
+# "tol"; at SNR 30 the residual floors near 0.04 and the switch never happens
+_WF_FINISH_RESID = 1e-5
 # the phase tuner's restart loop ends once a restart's final residual agrees
 # with the best so far to this relative tolerance; restarts stays the cap
 _TUNE_AGREE_RTOL = 1e-6
@@ -243,20 +257,30 @@ def _dense(op: Operator, who: str) -> np.ndarray:
 class _LinOp:
     """Matvec / adjoint-matvec view of a dense operator, with its row norms.
 
-    The adjoint is applied as conj(w^H H), so no conjugate-transposed copy
-    of the operator is kept.
+    Computes in the operator's precision: ``real`` is float32 for a
+    complex64 operator and float64 for a complex128 one, and the row norms
+    are ``real``. Every vector handed to :meth:`matvec` and :meth:`rmatvec`
+    must have the operator's dtype, since numpy casts the whole matrix for
+    a mixed-precision product. The adjoint is applied as conj(w^H H), so
+    no conjugate-transposed copy of the operator is kept.
     """
 
     def __init__(self, op: np.ndarray):
         self.op = op
         self.shape = op.shape
         self.row_norms = _row_norms(op)
+        self.real = self.row_norms.dtype
 
     def matvec(self, z: np.ndarray) -> np.ndarray:
         return self.op @ z
 
     def rmatvec(self, w: np.ndarray) -> np.ndarray:
         return (w.conj() @ self.op).conj()
+
+    @functools.cached_property
+    def full(self) -> _LinOp:
+        """A complex128 copy of this operator, made on first use."""
+        return _LinOp(self.op.astype(np.complex128))
 
 
 def spectral_init(op: np.ndarray | _LinOp, b: np.ndarray, params: WFParams,
@@ -268,7 +292,8 @@ def spectral_init(op: np.ndarray | _LinOp, b: np.ndarray, params: WFParams,
     T = {r : b_r <= trunc_y * mean(b)}, until the unit iterate moves by at
     most 1e-3 in one step, or for ``init_power_iters`` iterations. It then
     scales the unit eigenvector v to ||z0|| = sqrt(N * mean(b) /
-    mean(||h_r||^2)) so that ||z0||^2 estimates the signal energy.
+    mean(||h_r||^2)) so that ||z0||^2 estimates the signal energy. The
+    iteration runs in the operator's precision, and z0 has its dtype.
     """
     lin = op if isinstance(op, _LinOp) else _LinOp(_dense(op, "spectral_init"))
     m, n = lin.shape
@@ -278,8 +303,8 @@ def spectral_init(op: np.ndarray | _LinOp, b: np.ndarray, params: WFParams,
     mean_b = float(np.mean(b))
     if not np.any(b > 0):
         raise ValueError("zero measurement vector")
-    w = np.where(b <= params.trunc_y * mean_b, b, 0.0) / m
-    v = complex_normal(generator(seed), n)
+    w = (np.where(b <= params.trunc_y * mean_b, b, 0.0) / m).astype(lin.real, copy=False)
+    v = complex_normal(generator(seed), n).astype(lin.op.dtype, copy=False)
     v /= np.linalg.norm(v)
     for _ in range(params.init_power_iters):
         v_prev = v
@@ -287,7 +312,7 @@ def spectral_init(op: np.ndarray | _LinOp, b: np.ndarray, params: WFParams,
         nv = np.linalg.norm(v)
         if nv == 0:
             # truncated covariance annihilated the iterate; restart direction
-            v = np.ones(n, dtype=np.complex128)
+            v = np.ones(n, dtype=lin.op.dtype)
             nv = np.linalg.norm(v)
         v /= nv
         if np.linalg.norm(v - v_prev) <= _SPECTRAL_STEP_TOL:
@@ -396,9 +421,13 @@ def wf_solve(
     (trunc_h / M) ||b - |Hz|^2||_1 times that magnitude. With
     ``loss="gaussian"`` the |v_r|^2 denominator becomes mean(b) (see
     :class:`WFParams`). Stops by the shared stop policy (module docstring).
-    If ``z0`` is given it is used as the starting point (restarts collapse
-    to a single run). Raises :class:`NonProgress` if E stays empty for 10
-    iterations and :class:`Diverged` if the residual becomes non-finite.
+    The start and the iteration run in the operator's precision; on a
+    complex64 operator the run switches to a complex128 copy of it the
+    first time its residual is at most 1e-5, so noiseless runs still reach
+    ``tol``. The estimate is complex128. If ``z0`` is given it is used as
+    the starting point (restarts collapse to a single run). Raises
+    :class:`NonProgress` if E stays empty for 10 iterations and
+    :class:`Diverged` if the residual becomes non-finite.
     """
     params = params or WFParams()
     t0 = time.perf_counter()
@@ -409,8 +438,9 @@ def wf_solve(
     norm_a = float(np.linalg.norm(a))
     if norm_a == 0:
         raise ValueError("zero measurement vector")
-    mu = params.step_size
-    mean_b = float(np.mean(b))
+    step = 2 * params.step_size / m
+    if params.loss == "gaussian":
+        step /= float(np.mean(b))
 
     if z0 is not None:
         z0 = as_complex_vector(z0)
@@ -424,25 +454,40 @@ def wf_solve(
         return spectral_init(lin, b, params, mix_seed(seed, r))
 
     def iterate(z: np.ndarray) -> _Run:
-        v = lin.matvec(z)
-        resid = float(np.linalg.norm(np.abs(v) - a)) / norm_a
-        trace = [resid]
+        op = lin
+        y, mag = b.astype(op.real, copy=False), a.astype(op.real, copy=False)
+        row_scale = math.sqrt(n) / op.row_norms
+        z = z.astype(op.op.dtype, copy=False)
+        v = op.matvec(z)
+        trace = []
         iterations = 0
         empty_streak = 0
-        while (reason := _stop_reason(trace, iterations, params.tol, params.max_iters)) is None:
+        while True:
             absv = np.abs(v)
+            misfit = absv - mag
+            resid = math.sqrt(float(np.dot(misfit, misfit))) / norm_a
+            if resid <= _WF_FINISH_RESID and op.real != np.float64:
+                # from here on the iterate carries more digits than complex64 holds
+                op, y, mag = lin.full, b, a
+                row_scale = math.sqrt(n) / op.row_norms
+                z = z.astype(np.complex128)
+                v = op.matvec(z)
+                continue
+            trace.append(resid)
+            reason = _stop_reason(trace, iterations, params.tol, params.max_iters)
+            if reason is not None:
+                break
             absv2 = absv * absv
-            znorm = float(np.linalg.norm(z))
+            dev = np.abs(y - absv2)
+            znorm = math.sqrt(np.vdot(z, z).real)
             if znorm == 0:
-                ratio = np.zeros(m)
+                keep = np.zeros(m, dtype=bool)
             else:
-                ratio = math.sqrt(n) * absv / (lin.row_norms * znorm)
-            dev = np.abs(b - absv2)
-            keep = (
-                (ratio >= params.trunc_lb)
-                & (ratio <= params.trunc_ub)
-                & (dev <= (params.trunc_h / m) * float(np.sum(dev)) * ratio)
-            )
+                # the ratio times ||z||, against the band times ||z||: no per-row division
+                scaled = absv * row_scale
+                keep = scaled >= params.trunc_lb * znorm
+                keep &= scaled <= params.trunc_ub * znorm
+                keep &= dev <= ((params.trunc_h / m) * float(np.sum(dev)) / znorm) * scaled
             iterations += 1
             if not keep.any():
                 empty_streak += 1
@@ -450,19 +495,17 @@ def wf_solve(
                     raise NonProgress(
                         f"empty truncation set for {empty_streak} consecutive iterations"
                     )
-                trace.append(resid)
                 continue
             empty_streak = 0
-            coeff = np.zeros(m)
+            # the gradient's factor 2 (and the gaussian 1 / mean(b)) is in the step
+            coeff = np.zeros(m, dtype=op.real)
             if params.loss == "poisson":
-                np.divide(2.0 * (absv2 - b), absv2, out=coeff, where=keep)
+                np.divide(absv2 - y, absv2, out=coeff, where=keep)
             else:
-                np.multiply(2.0 * (absv2 - b), keep / mean_b, out=coeff)
-            z = z - (mu / m) * lin.rmatvec(coeff * v)
-            v = lin.matvec(z)
-            resid = float(np.linalg.norm(np.abs(v) - a)) / norm_a
-            trace.append(resid)
-        return _Run(z, resid, iterations, trace, reason)
+                np.multiply(absv2 - y, keep, out=coeff)
+            z = z - step * op.rmatvec(coeff * v)
+            v = op.matvec(z)
+        return _Run(z.astype(np.complex128, copy=False), resid, iterations, trace, reason)
 
     return _finish(t0, params.tol, *_best_restart(start, iterate, restarts))
 
@@ -476,7 +519,9 @@ class LeastSquaresOperator:
     kept only when the Cholesky factorization succeeds and LAPACK's estimate
     of R's reciprocal condition number is at least 1e-3; otherwise H is
     factored by Householder QR, which takes about 3x as long on a 768x128
-    block.
+    block. The factor is complex128 whatever H's precision: H is copied
+    once, to a Fortran-ordered complex128 array, and the triangular solve
+    turns that copy into Q in place.
 
     Keeps Q (orthonormal columns) and R (upper triangular) only. The
     least-squares solution of min_z ||H z - v||_2 is z = R^-1 Q^H v, and
@@ -486,17 +531,16 @@ class LeastSquaresOperator:
     """
 
     def __init__(self, matrix: np.ndarray):
-        h = np.asarray(matrix, dtype=np.complex128)
+        h = np.array(matrix, dtype=np.complex128, order="F")
         if h.ndim != 2:
             raise ValueError("expected a 2-D matrix")
         if h.shape[0] < h.shape[1]:
             raise ValueError(f"need rows >= cols, got {h.shape}")
-        # zherk on the F-ordered view h.T forms conj(H^H H) with no conjugate
-        # copy of H; its upper Cholesky factor is conj(R)
-        rc, info = lapack.zpotrf(blas.zherk(1.0, h.T), lower=0, clean=1, overwrite_a=1)
-        if info == 0 and lapack.ztrcon(rc)[0] >= _CHOLQR_MIN_RCOND:
-            r = rc.conj()
-            q = blas.ztrsm(1.0, r, h, side=1, lower=0)
+        # zherk with trans=2 forms H^H H with no conjugate copy of H; its
+        # upper Cholesky factor is R
+        r, info = lapack.zpotrf(blas.zherk(1.0, h, trans=2), lower=0, clean=1, overwrite_a=1)
+        if info == 0 and lapack.ztrcon(r)[0] >= _CHOLQR_MIN_RCOND:
+            q = blas.ztrsm(1.0, r, h, side=1, lower=0, overwrite_b=1)
         else:
             q, r = scipy.linalg.qr(h, mode="economic", check_finite=False)
         diag = np.abs(np.diagonal(r))
@@ -548,9 +592,10 @@ def _project_run(mat: np.ndarray, lsq: LeastSquaresOperator, target: np.ndarray,
     Q u, and the range projection is u <- Q^H (target * phase(Q u)), so a
     step reads Q alone; x = R^-1 u is solved once, when the run ends. With
     ``project``, each step returns to x = R^-1 u, applies ``project`` and
-    images the result through ``mat``.
+    images the result through ``mat``. The first image is taken in
+    ``mat``'s precision; the steps run in Q's complex128.
     """
-    mx = mat @ x
+    mx = mat @ x.astype(mat.dtype, copy=False)
     trace = []
     reason = None
     while reason is None:

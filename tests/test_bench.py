@@ -117,18 +117,21 @@ def test_gen_instance_threads_match_a_serial_build(monkeypatch, cpus):
 
 
 def test_gen_instance_keeps_its_draws_without_a_copy(monkeypatch):
-    # each drawn matrix is read-only, so the instance holds it as drawn
+    # each drawn matrix is read-only and rounded on its drawing thread (the
+    # blocks to complex64), so the instance holds it as drawn
     drawn = []
     draw = bench._draw_matrix
 
-    def recording_draw(seed, shape):
-        drawn.append(draw(seed, shape))
+    def recording_draw(seed, shape, dtype):
+        drawn.append(draw(seed, shape, dtype))
         return drawn[-1]
 
     monkeypatch.setattr(bench, "_draw_matrix", recording_draw)
     instance, _ = gen_instance(ExperimentConfig(n=64, trials=1), trial_seed=3)
     kept = [instance.tuning_matrix, *instance.base.operator.blocks]
     assert sorted(map(id, kept)) == sorted(map(id, drawn))
+    assert instance.tuning_matrix.dtype == np.complex128
+    assert {b.dtype for b in instance.base.operator.blocks} == {np.dtype(np.complex64)}
 
 
 def test_config_validation():

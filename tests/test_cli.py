@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from blockpr.bench import CSV_COLUMNS
-from blockpr.cli import main
+from blockpr.cli import _load_instance, main
 from blockpr.core import KRBDMatrix
 from blockpr.io import load_bpr1, save_bpr1
 from blockpr.rng import complex_normal, generator
@@ -236,7 +236,10 @@ def _set_meta(path, **changes):
     (lambda d: _set_meta(d, kind=None), "meta.json has no 'kind' entry"),
     (lambda d: _set_meta(d, kind="magnitude"), "must be intensities, got kind 'magnitude'"),
     (lambda d: (d / "x.bpr1").write_bytes((d / "ty.bpr1").read_bytes()), "x.bpr1 has shape"),
-], ids=["beta", "vector-operator", "not-json", "no-kind", "magnitude", "short-truth"])
+    (lambda d: (d / "a.bpr1").write_bytes((d / "h.bpr1").read_bytes()),
+     "a.bpr1 holds a KRBD matrix"),
+], ids=["beta", "vector-operator", "not-json", "no-kind", "magnitude", "short-truth",
+        "krbd-tuning"])
 def test_solve_malformed_instance_dir_exit_code(instance_dir, capsys, damage, message):
     # each of these ended in a raw traceback with exit 1
     damage(instance_dir)
@@ -270,6 +273,16 @@ def test_solve_rejects_instance_below_the_injectivity_bound(instance_dir, capsys
     err = capsys.readouterr().err
     assert err.startswith(f"i/o error: {instance_dir}: {message}, below the phase-retrieval "
                           f"injectivity bound")
+
+
+def test_load_instance_holds_each_payload_once(tmp_path, capsys, traced_peak):
+    # the loaded tuning matrix is frozen, not copied: 2.6 MB here
+    out = tmp_path / "inst"
+    assert run_cli(["gen", "--n", "1024", "--seed", "3", "--out", str(out)]) == 0
+    payload = sum(f.stat().st_size for f in out.glob("*.bpr1"))
+    (instance, x), peak = traced_peak(lambda: _load_instance(out))
+    assert peak <= payload + 0.5e6
+    assert x is not None and instance.partition.n_blocks == 8
 
 
 def test_solve_reads_instance_dirs_written_with_matrix_kind(instance_dir, capsys):

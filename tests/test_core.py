@@ -70,11 +70,39 @@ def test_krbd_blocks_are_immutable():
         k.blocks[0][0, 0] = 5.0
 
 
+def test_krbd_keeps_a_read_only_complex64_block_without_a_copy():
+    block = complex_normal(generator(6), (6, 2)).astype(np.complex64)
+    block.setflags(write=False)
+    k = KRBDMatrix([block])
+    assert k.blocks[0] is block
+
+
+def test_krbd_rounds_other_blocks_to_read_only_complex64_once():
+    rng = generator(6)
+    drawn = complex_normal(rng, (6, 2))
+    writeable64 = complex_normal(rng, (4, 2)).astype(np.complex64)
+    k = KRBDMatrix([drawn, writeable64, np.ones((3, 1))])
+    for b, given in zip(k.blocks, (drawn, writeable64)):
+        assert b.dtype == np.complex64 and b.flags.c_contiguous and not b.flags.writeable
+        assert b is not given and not np.shares_memory(b, given)
+    assert k.blocks[0].tobytes() == drawn.astype(np.complex64).tobytes()
+
+
+@pytest.mark.parametrize("value", [1e39, -1e39j, 3.5e38 + 0j])
+def test_krbd_rejects_an_entry_beyond_float32_range(value):
+    # finite in complex128, infinite once rounded to the blocks' complex64
+    block = np.ones((2, 1), dtype=complex)
+    block[1, 0] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        KRBDMatrix([block])
+
+
 def test_krbd_dense_round_trip():
     rng = generator(7)
     k = KRBDMatrix([complex_normal(rng, (3, 2)), complex_normal(rng, (5, 4))])
     full = k.to_dense()
     assert full.shape == (8, 6)
+    assert full.dtype == np.complex64
     assert np.array_equal(full[:3, :2], k.blocks[0])
     assert np.array_equal(full[3:, 2:], k.blocks[1])
     assert not full[:3, 2:].any() and not full[3:, :2].any()
@@ -103,6 +131,19 @@ def test_single_block_apply_matches_dense_exactly():
     x = complex_normal(rng, 8)
     k = KRBDMatrix([h])
     assert apply(k, x).tobytes() == (k.to_dense() @ x).tobytes()
+
+
+@pytest.mark.parametrize("dtype, kept", [
+    (np.complex64, np.complex64), (np.complex128, np.complex128),
+    (np.float32, np.complex128), (np.float64, np.complex128), (np.int64, np.complex128),
+])
+def test_pr_instance_dense_operator_precision(dtype, kept):
+    # a dense operator keeps either complex precision; anything else is complex128
+    h = np.eye(3, dtype=dtype)
+    op = PRInstance(h, np.ones(3), "intensity").operator
+    assert op.dtype == kept and not op.flags.writeable
+    h.setflags(write=False)
+    assert (PRInstance(h, np.ones(3), "intensity").operator is h) == (dtype == kept)
 
 
 def test_pr_instance_validation():

@@ -1,5 +1,4 @@
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,7 +35,36 @@ def test_krbd_round_trip(tmp_path):
     assert isinstance(back, KRBDMatrix)
     assert back.partition == k.partition
     for b1, b2 in zip(back.blocks, k.blocks):
-        assert np.array_equal(b1, b2)
+        assert b1.dtype == np.complex64 and np.array_equal(b1, b2)
+
+
+def test_krbd_layout_is_kind_3_with_float32_pairs(tmp_path):
+    # header, then K, the (rows, cols) of each block, and 8 bytes per entry
+    blocks = [np.array([[1 + 2j], [3 - 4j]]), np.array([[0.5j, -1.5]])]
+    save_bpr1(tmp_path / "k.bpr1", KRBDMatrix(blocks))
+    raw = (tmp_path / "k.bpr1").read_bytes()
+    assert raw[:13] == b"BPR1" + struct.pack("<IIB", 3, 3, 3)
+    assert struct.unpack("<5I", raw[13:33]) == (2, 2, 1, 1, 2)
+    assert np.frombuffer(raw[33:], dtype="<f4").tolist() == [1, 2, 3, -4, 0, 0.5, -1.5, 0]
+
+
+def test_kind_2_krbd_still_loads_rounded_to_complex64(tmp_path):
+    # a KRBD file with float64 pairs, as written before single-precision blocks
+    block = complex_normal(generator(5), (3, 2))
+    raw = b"BPR1" + struct.pack("<IIBI2I", 3, 2, 2, 1, 3, 2) + block.astype("<c16").tobytes()
+    (tmp_path / "k2.bpr1").write_bytes(raw)
+    back = load_bpr1(tmp_path / "k2.bpr1")
+    assert isinstance(back, KRBDMatrix) and back.partition == KRBDMatrix([block]).partition
+    assert back.blocks[0].dtype == np.complex64 and not back.blocks[0].flags.writeable
+    assert back.blocks[0].tobytes() == block.astype(np.complex64).tobytes()
+
+
+def test_kind_2_krbd_entry_beyond_float32_range_is_rejected(tmp_path):
+    block = np.array([[1.0, 2e39j]])
+    raw = b"BPR1" + struct.pack("<IIBI2I", 1, 2, 2, 1, 1, 2) + block.astype("<c16").tobytes()
+    (tmp_path / "k2.bpr1").write_bytes(raw)
+    with pytest.raises(BPR1Error, match="non-finite"):
+        load_bpr1(tmp_path / "k2.bpr1")
 
 
 def test_header_layout(tmp_path):
@@ -99,33 +127,23 @@ def test_huge_header_on_a_short_file_is_truncated(tmp_path, head):
         load_bpr1(tmp_path / "big.bpr1")
 
 
-def _traced_peak(fn):
-    """``fn()`` and the most memory it held at once beyond what was held before."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        out = fn()
-        return out, tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.fixture(scope="module")
 def krbd_4mb():
     rng = generator(8)
     return KRBDMatrix(tuple(complex_normal(rng, (256, 64)) for _ in range(16)))
 
 
-def test_save_bpr1_writes_the_arrays_own_buffers(tmp_path, krbd_4mb):
-    _, peak = _traced_peak(lambda: save_bpr1(tmp_path / "k.bpr1", krbd_4mb))
-    assert (tmp_path / "k.bpr1").stat().st_size > 4e6
-    assert peak < 1e6
+def test_save_bpr1_writes_the_arrays_own_buffers(tmp_path, krbd_4mb, traced_peak):
+    # 16 complex64 blocks of 256 x 64: 8 bytes per entry, 2.1 MB of payload
+    _, peak = traced_peak(lambda: save_bpr1(tmp_path / "k.bpr1", krbd_4mb))
+    assert (tmp_path / "k.bpr1").stat().st_size > 8 * 16 * 256 * 64
+    assert peak < 0.5e6
 
 
-def test_load_bpr1_reads_straight_into_the_arrays(tmp_path, krbd_4mb):
+def test_load_bpr1_reads_straight_into_the_arrays(tmp_path, krbd_4mb, traced_peak):
     # the blocks returned are the only copy of the payload
     save_bpr1(tmp_path / "k.bpr1", krbd_4mb)
-    back, peak = _traced_peak(lambda: load_bpr1(tmp_path / "k.bpr1"))
+    back, peak = traced_peak(lambda: load_bpr1(tmp_path / "k.bpr1"))
     assert peak <= 1.1 * (tmp_path / "k.bpr1").stat().st_size
     assert _same(krbd_4mb, back)
 
@@ -143,14 +161,16 @@ def test_only_krbd_blocks_load_read_only(tmp_path):
 
 
 # any complex128 value, NaN payloads and infinities included, round-trips
-# bitwise; KRBD blocks must be finite
+# bitwise; KRBD blocks are complex64 and must be finite (a finite complex128
+# value beyond float32's range is not a valid block entry: it is rejected)
 _entries = st.complex_numbers(allow_nan=True, allow_infinity=True)
-_finite = st.complex_numbers(allow_nan=False, allow_infinity=False)
+_finite64 = st.complex_numbers(width=64, allow_nan=False, allow_infinity=False)
 _vectors = arrays(np.complex128, st.integers(0, 12), elements=_entries)
 _matrices = arrays(np.complex128, st.tuples(st.integers(0, 6), st.integers(0, 6)), elements=_entries)
 _krbds = st.lists(
     st.tuples(st.integers(1, 4), st.integers(1, 3)), min_size=1, max_size=4
-).flatmap(lambda shapes: st.tuples(*(arrays(np.complex128, s, elements=_finite) for s in shapes)))
+).flatmap(lambda shapes: st.tuples(*(arrays(np.complex64, s, elements=_finite64)
+                                     for s in shapes)))
 _saveables = st.one_of(_vectors, _matrices, _krbds.map(KRBDMatrix))
 
 

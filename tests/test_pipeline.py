@@ -123,6 +123,22 @@ def test_solve_blocks_parallel_equals_sequential(forced_pool):
         assert r1.iterations == r2.iterations and r1.stop_reason == r2.stop_reason
 
 
+@pytest.mark.parametrize("snr_db", [30.0, np.inf])
+def test_complex64_blocks_solve_alike_in_forked_workers(forced_pool, snr_db):
+    # noiseless blocks take WF's complex128 finish, inside the workers too
+    instance, _ = make_block_instance(90, k=4, n_i=16, snr_db=snr_db)
+    assert {b.dtype for b in instance.base.operator.blocks} == {np.dtype(np.complex64)}
+    spec = SolverSpec("wf_truncated", seed=13)
+    x_seq, seq = block_pr_solve(instance, spec, parallelism=1)
+    x_par, par = block_pr_solve(instance, spec, parallelism=2)
+    assert forced_pool == [2]
+    assert x_seq.dtype == np.complex128 and x_seq.tobytes() == x_par.tobytes()
+    for z1, z2 in zip(seq.block_estimates, par.block_estimates):
+        assert z1.tobytes() == z2.tobytes()
+    if snr_db == np.inf:
+        assert {r.stop_reason for r in par.per_block_reports} == {"tol"}
+
+
 def test_report_phase_times_come_back_from_workers(forced_pool):
     instance, _ = make_block_instance(89, k=4, n_i=16)
     solved = solve_blocks(instance, SolverSpec("alt_proj", seed=12), parallelism=2)

@@ -23,16 +23,18 @@ from blockpr.solvers import (
 )
 
 
-def gaussian_instance(seed, n, m):
+def gaussian_instance(seed, n, m, dtype=np.complex128):
+    # the intensities of a complex64 operator are measured in complex128, as
+    # gen_instance measures its blocks', so they are exact
     rng = generator(seed)
-    h = complex_normal(rng, (m, n))
+    h = complex_normal(rng, (m, n)).astype(dtype, copy=False)
     x = complex_normal(rng, n)
     return PRInstance(h, measure(h, x, "intensity"), "intensity"), x
 
 
-def noisy_instance(seed, n, m, snr_db=30.0):
+def noisy_instance(seed, n, m, snr_db=30.0, dtype=np.complex128):
     rng = generator(seed)
-    h = complex_normal(rng, (m, n))
+    h = complex_normal(rng, (m, n)).astype(dtype, copy=False)
     x = complex_normal(rng, n)
     b = add_noise_intensity(measure(h, x, "intensity"), NoiseSpec(snr_db, mix_seed(seed, 1)))
     return PRInstance(h, b, "intensity", snr_db), x
@@ -121,11 +123,14 @@ def test_wf_noisy_run_stops_on_stall():
 
 
 def test_wf_noiseless_runs_stop_on_tol():
-    # linear convergence is never mistaken for a stall
-    for t in range(20):
-        inst, _ = gaussian_instance(mix_seed(900, t), 32, 192)
-        _, rep = wf_solve(inst, seed=mix_seed(901, t))
-        assert rep.stop_reason == "tol" and rep.converged
+    # linear convergence is never mistaken for a stall; on a complex64
+    # operator the run reaches tol through its complex128 finish
+    for dtype in (np.complex128, np.complex64):
+        for t in range(20):
+            inst, _ = gaussian_instance(mix_seed(900, t), 32, 192, dtype)
+            z, rep = wf_solve(inst, seed=mix_seed(901, t))
+            assert rep.stop_reason == "tol" and rep.converged, (dtype, t)
+            assert z.dtype == np.complex128
 
 
 def test_wf_diverging_step_raises_diverged():
@@ -204,6 +209,32 @@ def test_solvers_reject_krbd_operator(solver):
     }
     with pytest.raises(TypeError, match=f"{solver} expects a dense operator"):
         calls[solver]()
+
+
+@pytest.fixture(scope="module")
+def block64_snr30():
+    """A 768 x 128 complex64 block and its intensities at SNR 30."""
+    inst, _ = noisy_instance(61, 128, 768, dtype=np.complex64)
+    return inst
+
+
+def test_wf_complex64_solve_copies_no_block(block64_snr30, traced_peak):
+    # a product of the block with a complex128 vector casts the whole block,
+    # and so would the complex128 finish, which SNR 30 never reaches
+    (z, rep), peak = traced_peak(lambda: wf_solve(block64_snr30, seed=1))
+    assert rep.stop_reason == "stall" and z.dtype == np.complex128
+    assert peak < block64_snr30.operator.nbytes
+
+
+def test_pinv_factor_makes_one_complex128_copy(block64_snr30, traced_peak):
+    # Q overwrites the one complex128 copy of H, and R the Gram matrix H^H H;
+    # 16 KiB covers the condition estimate's work vectors and R's diagonal
+    h = block64_snr30.operator
+    m, n = h.shape
+    lsq, peak = traced_peak(lambda: pinv_factor(h))
+    assert lsq.q.dtype == lsq.r.dtype == np.complex128
+    assert peak <= 16 * m * n + 16 * n * n + 16 * 1024
+    assert np.linalg.norm(lsq.q @ lsq.r - h) <= 1e-12 * np.linalg.norm(h)
 
 
 # ---------------------------------------------------------------- pinv_factor
@@ -516,14 +547,21 @@ def test_altproj_and_tuner_deterministic():
 
 
 def test_report_residual_semantics():
-    inst, x = gaussian_instance(42, 16, 96)
-    z, rep = wf_solve(inst, seed=3, restarts=2)
-    assert rep.final_residual == pytest.approx(
-        residual(inst.operator, np.sqrt(inst.measurements), z), abs=1e-15
-    )
-    assert rep.wall_time_seconds >= 0
-    assert rep.restarts_used >= 1
-    assert rep.stop_reason in ("tol", "stall", "max_iters")
+    # a complex64 run reports the residual it computed in complex64 (at SNR
+    # 30) or in complex128, after its finish (noiseless)
+    for make, dtype, close in [
+        (gaussian_instance, np.complex128, {"abs": 1e-15}),
+        (gaussian_instance, np.complex64, {"rel": 1e-5}),
+        (noisy_instance, np.complex64, {"rel": 1e-5}),
+    ]:
+        inst, x = make(42, 16, 96, dtype=dtype)
+        z, rep = wf_solve(inst, seed=3, restarts=2)
+        assert rep.final_residual == pytest.approx(
+            residual(inst.operator, np.sqrt(inst.measurements), z), **close
+        )
+        assert rep.wall_time_seconds >= 0
+        assert rep.restarts_used >= 1
+        assert rep.stop_reason in ("tol", "stall", "max_iters")
 
 
 def test_report_splits_wall_time_by_phase():
