@@ -39,13 +39,15 @@ The solvers run on dense operators only: the pipeline hands them one
 diagonal block at a time, and a :class:`~blockpr.core.KRBDMatrix` raises
 ``TypeError``.
 
-Precision follows the operator. The spectral start and the WF iteration
-compute in the operator's dtype, with float32 real vectors for a complex64
-block (the K-RBD blocks are complex64), since a product of a complex64
-matrix with a complex128 vector would cast the whole matrix. WF finishes
-in complex128 once its residual is at most 1e-5, and every solver returns
-complex128. The QR factor, and with it the alternating-projections and
-tuner iterations, is complex128 whatever the operator's precision.
+Precision follows the operator. The spectral start, the WF iteration, the
+QR factor and the alternating-projections iteration compute in the
+operator's dtype, with float32 real vectors for a complex64 block (the
+K-RBD blocks are complex64), since a product of a complex64 matrix with a
+complex128 vector would cast the whole matrix. A complex64 block too
+ill-conditioned for a single-precision factor is factored, and iterated, in
+complex128. WF and alternating projections finish in complex128 once their
+residual is at most 1e-5, and every solver returns complex128. The tuner's
+matrix is complex128, and so are its factor and iterations.
 """
 
 from __future__ import annotations
@@ -90,11 +92,12 @@ _STALL_RTOL = 1e-3
 # the spectral start's power iteration ends once ||v_k - v_{k-1}|| <= this
 # (unit iterates); init_power_iters stays the cap
 _SPECTRAL_STEP_TOL = 1e-3
-# wf_solve iterates in its operator's precision until the residual first
-# reaches this, then finishes in complex128. A complex64 iteration floors near
-# 1e-7, above WF's tol, so without the finish a noiseless run could not stop on
-# "tol"; at SNR 30 the residual floors near 0.04 and the switch never happens
-_WF_FINISH_RESID = 1e-5
+# wf_solve and altproj_solve iterate in their block's precision until the
+# residual first reaches this, then finish in complex128. A complex64 iteration
+# floors near 1e-7, above either tol, so without the finish a noiseless run
+# could not stop on "tol"; at SNR 30 the residual floors near 0.04 and the
+# switch never happens
+_FINISH_RESID = 1e-5
 # the phase tuner's restart loop ends once a restart's final residual agrees
 # with the best so far to this relative tolerance; restarts stays the cap
 _TUNE_AGREE_RTOL = 1e-6
@@ -104,6 +107,24 @@ _TUNE_AGREE_RTOL = 1e-6
 # 2 to 1e4, the accepted factors had ||Q^H Q - I|| <= 3.8e-12 (cond <= 410),
 # against up to 2.8e-10 at 1e-4. A 768x128 Gaussian block reads about 0.05.
 _CHOLQR_MIN_RCOND = 1e-3
+# the same guard for a complex64 factor, which loses orthogonality as
+# cond(H)^2 * 6e-8. On 768x128, 320x16 and 48x8 complex64 matrices of
+# condition c, 3 draws each (Q and I compared in complex128):
+#
+#   c     ctrcon estimate    ||Q^H Q - I||       kept at 5e-3
+#   2     4.6e-2 .. 0.34     3.8e-7 .. 2.2e-6    9 of 9
+#   10    4.2e-3 .. 5.8e-2   1.6e-6 .. 1.0e-5    8 of 9
+#   30    1.3e-3 .. 1.9e-2   8.2e-6 .. 5.1e-5    6 of 9
+#   100   4.3e-4 .. 5.5e-3   6.1e-5 .. 3.7e-4    1 of 9 (1.9e-4)
+#   300   1.7e-4 .. 1.7e-3   8.8e-4 .. 2.5e-3    0 of 9
+#   1e3   5.9e-5 .. 4.9e-4   3.4e-3 .. 2.1e-2    0 of 9
+#   1e4   0 .. 5.3e-5        0.26 .. cpotrf fails 0 of 9
+#
+# Noiseless AP on G C (G Gaussian, so the range and AP's path are G's)
+# reached "tol" up to ||Q^H Q - I|| = 4.6e-4, and from 7e-4 up it stalled
+# near 1.5e-5, short of the complex128 finish. Gaussian blocks from 4n - 4
+# rows (1020x256) to 768x128 read 1.2e-2 to 4.1e-2.
+_CHOLQR_MIN_RCOND_SINGLE = 5e-3
 
 
 class RankDeficient(ValueError):
@@ -466,7 +487,7 @@ def wf_solve(
             absv = np.abs(v)
             misfit = absv - mag
             resid = math.sqrt(float(np.dot(misfit, misfit))) / norm_a
-            if resid <= _WF_FINISH_RESID and op.real != np.float64:
+            if resid <= _FINISH_RESID and op.real != np.float64:
                 # from here on the iterate carries more digits than complex64 holds
                 op, y, mag = lin.full, b, a
                 row_scale = math.sqrt(n) / op.row_norms
@@ -510,6 +531,23 @@ def wf_solve(
     return _finish(t0, params.tol, *_best_restart(start, iterate, restarts))
 
 
+def _cholesky_qr(h: np.ndarray, min_rcond: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """Q, R of the Fortran-ordered ``h`` by one Cholesky QR pass, in h's precision.
+
+    Q overwrites ``h``. None, with ``h`` left as it was, when the Cholesky
+    factorization fails or LAPACK's estimate of R's reciprocal 1-norm
+    condition number is below ``min_rcond``.
+    """
+    herk, trsm = blas.get_blas_funcs(("herk", "trsm"), (h,))
+    potrf, trcon = lapack.get_lapack_funcs(("potrf", "trcon"), (h,))
+    # herk with trans=2 forms H^H H with no conjugate copy of H; its upper
+    # Cholesky factor is R
+    r, info = potrf(herk(1.0, h, trans=2), lower=0, clean=1, overwrite_a=1)
+    if info != 0 or not trcon(r)[0] >= min_rcond:  # a NaN estimate fails too
+        return None
+    return trsm(1.0, r, h, side=1, lower=0, overwrite_b=1), r
+
+
 class LeastSquaresOperator:
     """Economy QR factor H = Q R of a fixed tall matrix H, for least squares.
 
@@ -517,11 +555,18 @@ class LeastSquaresOperator:
     R is the Cholesky factor of the Gram matrix H^H H, and Q = H R^-1 is one
     triangular solve. Its loss of orthogonality grows as cond(H)^2, so it is
     kept only when the Cholesky factorization succeeds and LAPACK's estimate
-    of R's reciprocal condition number is at least 1e-3; otherwise H is
-    factored by Householder QR, which takes about 3x as long on a 768x128
-    block. The factor is complex128 whatever H's precision: H is copied
-    once, to a Fortran-ordered complex128 array, and the triangular solve
-    turns that copy into Q in place.
+    of R's reciprocal condition number is at least a threshold. The factor
+    follows H's precision. A complex64 H is copied once, to a
+    Fortran-ordered complex64 array that the triangular solve turns into Q
+    in place, and is kept in complex64 when that estimate is at least 5e-3
+    (||Q^H Q - I|| about 2e-6 on a 768x128 Gaussian block). Otherwise, and
+    for any other dtype, H is copied to complex128 and factored the same
+    way against a threshold of 1e-3; if that fails too, it is factored by
+    Householder QR, which takes about 3x as long on a 768x128 block. A
+    complex64 Q is orthonormal only to float32 rounding, so alternating
+    projections through it have residuals non-increasing only up to that
+    rounding. Vectors handed to :meth:`coords` should have Q's dtype, since
+    numpy casts the whole of Q for a mixed-precision product.
 
     Keeps Q (orthonormal columns) and R (upper triangular) only. The
     least-squares solution of min_z ||H z - v||_2 is z = R^-1 Q^H v, and
@@ -531,25 +576,24 @@ class LeastSquaresOperator:
     """
 
     def __init__(self, matrix: np.ndarray):
-        h = np.array(matrix, dtype=np.complex128, order="F")
-        if h.ndim != 2:
+        matrix = np.asarray(matrix)
+        if matrix.ndim != 2:
             raise ValueError("expected a 2-D matrix")
-        if h.shape[0] < h.shape[1]:
-            raise ValueError(f"need rows >= cols, got {h.shape}")
-        # zherk with trans=2 forms H^H H with no conjugate copy of H; its
-        # upper Cholesky factor is R
-        r, info = lapack.zpotrf(blas.zherk(1.0, h, trans=2), lower=0, clean=1, overwrite_a=1)
-        if info == 0 and lapack.ztrcon(r)[0] >= _CHOLQR_MIN_RCOND:
-            q = blas.ztrsm(1.0, r, h, side=1, lower=0, overwrite_b=1)
-        else:
-            q, r = scipy.linalg.qr(h, mode="economic", check_finite=False)
-        diag = np.abs(np.diagonal(r))
+        if matrix.shape[0] < matrix.shape[1]:
+            raise ValueError(f"need rows >= cols, got {matrix.shape}")
+        qr = None
+        if matrix.dtype == np.complex64:
+            qr = _cholesky_qr(np.array(matrix, order="F"), _CHOLQR_MIN_RCOND_SINGLE)
+        if qr is None:
+            h = np.array(matrix, dtype=np.complex128, order="F")
+            qr = (_cholesky_qr(h, _CHOLQR_MIN_RCOND)
+                  or scipy.linalg.qr(h, mode="economic", check_finite=False))
+        self.q, self.r = qr
+        diag = np.abs(np.diagonal(self.r))
         if diag.min() <= 1e-10 * diag.max():
             raise RankDeficient(
-                f"matrix of shape {h.shape} is rank-deficient within tolerance"
+                f"matrix of shape {matrix.shape} is rank-deficient within tolerance"
             )
-        self.q = q
-        self.r = r
 
     def coords(self, v: np.ndarray) -> np.ndarray:
         """Q^H v: the Q-basis coordinates of v's projection onto the range of H."""
@@ -565,9 +609,8 @@ def pinv_factor(op: np.ndarray) -> LeastSquaresOperator:
     return LeastSquaresOperator(_dense(op, "pinv_factor"))
 
 
-def _phases(v: np.ndarray) -> np.ndarray:
-    """v / |v| entrywise, with phase(0) = 1; a NaN or infinite entry gives NaN."""
-    absv = np.abs(v)
+def _phases(v: np.ndarray, absv: np.ndarray) -> np.ndarray:
+    """v / |v| entrywise, given absv = |v|; phase(0) = 1, and a NaN or infinite entry gives NaN."""
     out = np.ones_like(v)
     np.divide(v, absv, out=out, where=absv != 0)  # NaN != 0, so NaN propagates
     return out
@@ -583,7 +626,8 @@ def _unit_modulus(d: np.ndarray) -> np.ndarray:
 
 def _project_run(mat: np.ndarray, lsq: LeastSquaresOperator, target: np.ndarray,
                  norm_target: float, x: np.ndarray, params: APParams,
-                 project: Callable[[np.ndarray], np.ndarray] | None = None) -> _Run:
+                 project: Callable[[np.ndarray], np.ndarray] | None = None,
+                 full: Callable[[], LeastSquaresOperator] | None = None) -> _Run:
     """One alternating-projections run from ``x``, ended by the stop policy.
 
     Each iteration projects the image ``mat @ x`` onto the modulus set
@@ -593,23 +637,34 @@ def _project_run(mat: np.ndarray, lsq: LeastSquaresOperator, target: np.ndarray,
     step reads Q alone; x = R^-1 u is solved once, when the run ends. With
     ``project``, each step returns to x = R^-1 u, applies ``project`` and
     images the result through ``mat``. The first image is taken in
-    ``mat``'s precision; the steps run in Q's complex128.
+    ``mat``'s precision; the steps run in Q's. On a complex64 Q the run
+    switches to the complex128 factor ``full()`` the first time its
+    residual is at most 1e-5. The |image| behind each residual also gives
+    the next step's phase.
     """
+    mag = target.astype(np.finfo(lsq.q.dtype).dtype, copy=False)
     mx = mat @ x.astype(mat.dtype, copy=False)
+    absmx = np.abs(mx)
     trace = []
     reason = None
     while reason is None:
-        u = lsq.coords(target * _phases(mx))
+        u = lsq.coords(mag * _phases(mx, absmx))
         if project is None:
             mx = lsq.q @ u
         else:
             x = project(lsq.from_coords(u))
             mx = mat @ x
-        trace.append(float(np.linalg.norm(np.abs(mx) - target)) / norm_target)
+        absmx = np.abs(mx)
+        trace.append(float(np.linalg.norm(absmx - mag)) / norm_target)
         reason = _stop_reason(trace, len(trace), params.tol, params.max_iters)
+        if reason is None and trace[-1] <= _FINISH_RESID and mag.dtype != np.float64:
+            # from here on the image carries more digits than complex64 holds
+            lsq, mag = full(), target
+            mx = mx.astype(np.complex128)
+            absmx = np.abs(mx)
     if project is None:
         x = lsq.from_coords(u)
-    return _Run(x, trace[-1], len(trace), trace, reason)
+    return _Run(x.astype(np.complex128, copy=False), trace[-1], len(trace), trace, reason)
 
 
 def _timed_factor(op: np.ndarray) -> tuple[LeastSquaresOperator, float]:
@@ -633,10 +688,16 @@ def altproj_solve(
     policy ends the run (module docstring). H is factored once by QR,
     H = Q R (:class:`LeastSquaresOperator`), and the iteration runs in the
     Q basis (u = R z, see :func:`_project_run`), so each step reads Q alone
-    and z = R^-1 u is solved once per restart. The residual sequence is
-    non-increasing (each step projects onto the modulus set, then onto the
-    operator range). A NaN or infinite iterate raises :class:`Diverged`.
-    An all-zero ``a`` short-circuits to z = 0, converged.
+    and z = R^-1 u is solved once per restart. The iteration runs in the
+    factor's precision: on a complex64 block that takes a complex64 factor
+    it steps with float32 magnitudes and, the first time its residual is at
+    most 1e-5, switches to a complex128 factor of the block (made once per
+    solve, and counted in ``factor_s``), so noiseless runs still reach
+    ``tol``. The residual sequence is non-increasing (each step projects
+    onto the modulus set, then onto the operator range), up to float32
+    rounding on a complex64 factor. A NaN or infinite iterate raises
+    :class:`Diverged`. An all-zero ``a`` short-circuits to z = 0, converged.
+    The estimate is complex128.
     """
     params = params or APParams()
     t0 = time.perf_counter()
@@ -647,6 +708,7 @@ def altproj_solve(
         return _finish(t0, params.tol,
                        _Run(np.zeros(n, dtype=np.complex128), 0.0, 0, [0.0], "tol"), 0)
     lsq, factor_s = _timed_factor(op)
+    finish = []  # the complex128 factor a complex64 run finishes on, and its seconds
     norm_a = float(np.linalg.norm(a))
 
     if z0 is not None:
@@ -660,10 +722,17 @@ def altproj_solve(
             return z0.copy()
         return spectral_init(op, a * a, WFParams(), mix_seed(seed, r))
 
-    def iterate(z: np.ndarray) -> _Run:
-        return _project_run(op, lsq, a, norm_a, z, params)
+    def full() -> LeastSquaresOperator:
+        if not finish:
+            finish.extend(_timed_factor(op.astype(np.complex128)))
+        return finish[0]
 
-    return _finish(t0, params.tol, *_best_restart(start, iterate, restarts), factor_s)
+    def iterate(z: np.ndarray) -> _Run:
+        return _project_run(op, lsq, a, norm_a, z, params, full=full)
+
+    best, used, init_s, iter_s = _best_restart(start, iterate, restarts)
+    finish_s = finish[1] if finish else 0.0
+    return _finish(t0, params.tol, best, used, init_s, iter_s - finish_s, factor_s + finish_s)
 
 
 def unit_modulus_tune(

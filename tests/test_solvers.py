@@ -227,14 +227,26 @@ def test_wf_complex64_solve_copies_no_block(block64_snr30, traced_peak):
 
 
 def test_pinv_factor_makes_one_complex128_copy(block64_snr30, traced_peak):
-    # Q overwrites the one complex128 copy of H, and R the Gram matrix H^H H;
-    # 16 KiB covers the condition estimate's work vectors and R's diagonal
-    h = block64_snr30.operator
+    # a complex128 block: Q overwrites the one Fortran-ordered copy of H, and R
+    # the Gram matrix H^H H; 16 KiB covers the condition estimate's work
+    # vectors and R's diagonal
+    h = block64_snr30.operator.astype(np.complex128)
     m, n = h.shape
     lsq, peak = traced_peak(lambda: pinv_factor(h))
     assert lsq.q.dtype == lsq.r.dtype == np.complex128
     assert peak <= 16 * m * n + 16 * n * n + 16 * 1024
     assert np.linalg.norm(lsq.q @ lsq.r - h) <= 1e-12 * np.linalg.norm(h)
+
+
+def test_pinv_factor_makes_one_complex64_copy(block64_snr30, traced_peak):
+    # a complex64 block is factored in its own precision, in one complex64
+    # copy; ||QR - H|| / ||H|| read 5.9e-8 to 6.1e-8 on six 768 x 128 blocks
+    h = block64_snr30.operator
+    m, n = h.shape
+    lsq, peak = traced_peak(lambda: pinv_factor(h))
+    assert lsq.q.dtype == lsq.r.dtype == np.complex64
+    assert peak <= 8 * m * n + 8 * n * n + 16 * 1024
+    assert np.linalg.norm(lsq.q @ lsq.r - h) <= 2e-7 * np.linalg.norm(h)
 
 
 # ---------------------------------------------------------------- pinv_factor
@@ -251,13 +263,13 @@ def test_pinv_least_squares_mean():
     assert np.allclose(z, [2.0], atol=1e-14)
 
 
-def _assert_matches_svd_route(h, lsq, rng):
-    # independent factorization: numpy lstsq (SVD) vs our QR
+def _assert_matches_svd_route(h, lsq, rng, tol=1e-10):
+    # independent factorization: numpy lstsq (SVD, in complex128) vs our QR
     for t in range(5):
         v = complex_normal(rng, h.shape[0])
         z_qr = lsq.from_coords(lsq.coords(v))
         z_svd, *_ = np.linalg.lstsq(h, v, rcond=None)
-        assert np.linalg.norm(h @ z_qr - h @ z_svd) <= 1e-10 * np.linalg.norm(v)
+        assert np.linalg.norm(h @ z_qr - h @ z_svd) <= tol * np.linalg.norm(v)
 
 
 def test_pinv_cross_check_against_svd_route():
@@ -289,6 +301,54 @@ def test_pinv_ill_conditioned_falls_back_to_householder():
     v, _ = np.linalg.qr(complex_normal(rng, (8, 8)))
     h = (u * np.geomspace(1, 1e-6, 8)) @ v.conj().T
     _assert_matches_svd_route(h, pinv_factor(h), rng)
+    # rounded to complex64, it fails the single-precision guard too and is
+    # factored from its exact complex64 entries in complex128
+    h = h.astype(np.complex64)
+    lsq = pinv_factor(h)
+    assert lsq.q.dtype == lsq.r.dtype == np.complex128
+    _assert_matches_svd_route(h, lsq, rng)
+
+
+def test_pinv_complex64_gaussian_block_takes_single_precision_cholesky_qr(monkeypatch):
+    # a well-conditioned complex64 block is factored by one complex64
+    # Cholesky QR pass, with neither the complex128 nor the Householder route;
+    # ||Q^H Q - I|| read 2.0e-6 to 2.2e-6 on six such blocks, and the
+    # least-squares misfit about 9e-8
+    cholesky_qr = solvers._cholesky_qr
+
+    def single_only(h, min_rcond):
+        if h.dtype != np.complex64:
+            raise AssertionError("the complex128 route ran on a well-conditioned complex64 block")
+        return cholesky_qr(h, min_rcond)
+
+    def householder(*args, **kwargs):
+        raise AssertionError("Householder QR ran on a well-conditioned block")
+
+    monkeypatch.setattr(solvers, "_cholesky_qr", single_only)
+    monkeypatch.setattr(solvers.scipy.linalg, "qr", householder)
+    rng = generator(18)
+    h = complex_normal(rng, (768, 128)).astype(np.complex64)
+    lsq = pinv_factor(h)
+    assert lsq.q.dtype == lsq.r.dtype == np.complex64
+    q = lsq.q.astype(np.complex128)
+    assert np.linalg.norm(q.conj().T @ q - np.eye(128)) <= 5e-6
+    _assert_matches_svd_route(h, lsq, rng, tol=1e-6)
+
+
+def test_pinv_complex64_guard_keeps_noiseless_altproj_on_tol():
+    # H = G C with G Gaussian and C of condition 300 has G's range, so AP
+    # takes G's path; but a complex64 Cholesky QR of it is orthonormal only to
+    # about 1e-3, and on three such draws (and this one) noiseless AP on that
+    # factor stalled near 1.5e-5, short of the complex128 finish. The guard
+    # sends it to complex128.
+    rng = generator(23)
+    v, _ = np.linalg.qr(complex_normal(rng, (16, 16)))
+    h = (complex_normal(rng, (96, 16)) @ (v * np.geomspace(1, 1 / 300, 16)) @ v.conj().T)
+    h = h.astype(np.complex64)
+    assert pinv_factor(h).q.dtype == np.complex128
+    inst = PRInstance(h, measure(h, complex_normal(rng, 16), "intensity"), "intensity")
+    _, rep = altproj_solve(inst, seed=1)
+    assert rep.stop_reason == "tol"
 
 
 def test_pinv_rank_deficient():
@@ -348,6 +408,12 @@ def test_altproj_residuals_non_increasing():
         _, rep = altproj_solve(inst, seed=t)
         diffs = np.diff(np.asarray(rep.residuals))
         assert np.all(diffs <= 1e-12)
+        # a complex64 Q is orthonormal to about 1e-6, so on noisy data a step
+        # may raise the residual by float32 rounding: by 6.7e-7 relative at most
+        inst, _ = noisy_instance(mix_seed(960, t), 12, 72, dtype=np.complex64)
+        _, rep = altproj_solve(inst, seed=t)
+        res = np.asarray(rep.residuals)
+        assert np.all(np.diff(res) <= 2e-6 * res[:-1])
 
 
 def test_altproj_non_finite_residual_raises_diverged():
@@ -360,8 +426,9 @@ def test_altproj_non_finite_residual_raises_diverged():
 def test_phases_carry_non_finite_entries():
     # a non-finite image entry must reach the residual and raise Diverged;
     # phase 1 for it would let an AP run quietly recover
+    v = np.array([np.nan, complex(np.inf, 1.0), 0.0, 2j, -3.0])
     with np.errstate(invalid="ignore"):
-        ph = solvers._phases(np.array([np.nan, complex(np.inf, 1.0), 0.0, 2j, -3.0]))
+        ph = solvers._phases(v, np.abs(v))
     assert np.isnan(ph[:2]).all()
     assert ph[2:].tolist() == [1.0, 1j, -1.0]
 
@@ -398,6 +465,11 @@ def test_altproj_and_tuner_factor_once(monkeypatch):
     inst, _ = gaussian_instance(48, 12, 72)
     altproj_solve(inst, seed=1, restarts=4)
     assert calls == [(72, 12)]
+    # a noisy complex64 block never reaches the complex128 finish
+    inst, _ = noisy_instance(48, 12, 72, dtype=np.complex64)
+    calls.clear()
+    _, rep = altproj_solve(inst, seed=1, restarts=4)
+    assert rep.stop_reason == "stall" and calls == [(72, 12)]
     rng = generator(49)
     b_mat = complex_normal(rng, (40, 4))
     y = np.abs(b_mat @ np.exp(1j * rng.uniform(0, 2 * np.pi, 4)))
@@ -411,6 +483,37 @@ def test_altproj_noiseless_runs_stop_on_tol():
         inst, _ = gaussian_instance(mix_seed(975, t), 16, 96)
         _, rep = altproj_solve(inst, seed=t)
         assert rep.stop_reason == "tol" and rep.converged
+
+
+def test_altproj_complex64_noiseless_runs_finish_on_a_second_factor(monkeypatch):
+    # a complex64 run switches once to a complex128 factor at residual 1e-5,
+    # whose seconds count as factorization, not iteration
+    calls = []
+    factor = solvers.pinv_factor
+    monkeypatch.setattr(solvers, "pinv_factor", lambda op: calls.append(op.dtype) or factor(op))
+    for t in range(5):
+        inst, x = gaussian_instance(mix_seed(975, t), 16, 96, dtype=np.complex64)
+        calls.clear()
+        z, rep = altproj_solve(inst, seed=t)
+        assert rep.stop_reason == "tol" and rep.converged
+        assert calls == [np.complex64, np.complex128]
+        assert rep.init_s + rep.iter_s + rep.factor_s <= rep.wall_time_seconds
+        assert nmse(x, z) <= 1e-15
+
+
+def test_altproj_complex64_block_matches_its_complex128_promotion(block64_snr30, traced_peak):
+    # the same path to 1e-6 (the estimates differed by 6.5e-7 relative);
+    # Q is as large as the block, so the peak is bounded by one complex128
+    # copy of it, which factoring in complex128 would exceed
+    inst = block64_snr30
+    full = PRInstance(inst.operator.astype(np.complex128), inst.measurements, "intensity",
+                      inst.snr_db)
+    (z, rep), peak = traced_peak(lambda: altproj_solve(inst, seed=1))
+    z_full, rep_full = altproj_solve(full, seed=1)
+    assert (rep.stop_reason, rep.iterations) == (rep_full.stop_reason, rep_full.iterations)
+    assert z.dtype == np.complex128
+    assert np.linalg.norm(z - z_full) <= 1e-5 * np.linalg.norm(z_full)
+    assert peak < full.operator.nbytes
 
 
 def test_altproj_spectral_init():
