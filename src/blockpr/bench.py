@@ -21,7 +21,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Literal, TextIO
+from typing import Literal, TextIO, get_args
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .core import BlockPRInstance, KRBDMatrix, PRInstance
 from .forward import NoiseSpec, add_noise_intensity, measure, nmse
 from .pipeline import _usable_cpus, block_pr_solve, block_seed
 from .rng import complex_normal, generator, mix_seed
-from .solvers import SolverSpec, solve_pr
+from .solvers import SolverSpec, StopReason, solve_pr
 
 __all__ = [
     "ExperimentConfig",
@@ -59,9 +59,13 @@ _EMPIRICAL_BLOCK_COLS = 128.0
 _EMPIRICAL_K_MIN = 4
 _EMPIRICAL_K_MAX = 64
 
+_STOP_REASONS = get_args(StopReason)
+
 CSV_COLUMNS = [
     "N", "K", "alpha", "beta", "snr_db", "trials", "nmse_median", "nmse_mean",
-    "blocking_s", "tuning_s", "total_s", "monolithic_s", "speedup",
+    "blocking_s", "tuning_s", "total_s",
+    *(f"block_{r}" for r in _STOP_REASONS), *(f"tuning_{r}" for r in _STOP_REASONS),
+    "monolithic_s", "speedup",
 ]
 
 
@@ -273,7 +277,12 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int,
 
 @dataclass(frozen=True)
 class SweepRow:
-    """Aggregates over the trials of one sweep point."""
+    """Aggregates over the trials of one sweep point.
+
+    ``block_stops`` counts the stop reasons of every block solve of every
+    trial, and ``tuning_stops`` those of the trials' tuning solves, in the
+    order "tol", "stall", "max_iters".
+    """
 
     n: int
     k: int
@@ -288,15 +297,21 @@ class SweepRow:
     total_s: float | None = None
     monolithic_s: float | None = None
     speedup: float | None = None
+    block_stops: tuple[int, ...] | None = None
+    tuning_stops: tuple[int, ...] | None = None
     error: str | None = None
 
     def as_record(self) -> dict:
+        stops = {}
+        for stage, counts in (("block", self.block_stops), ("tuning", self.tuning_stops)):
+            counts = counts or (None,) * len(_STOP_REASONS)
+            stops.update((f"{stage}_{r}", c) for r, c in zip(_STOP_REASONS, counts))
         rec = {
             "N": self.n, "K": self.k, "alpha": self.alpha, "beta": self.beta,
             "snr_db": self.snr_db, "trials": self.trials,
             "nmse_median": self.nmse_median, "nmse_mean": self.nmse_mean,
             "blocking_s": self.blocking_s, "tuning_s": self.tuning_s,
-            "total_s": self.total_s, "monolithic_s": self.monolithic_s,
+            "total_s": self.total_s, **stops, "monolithic_s": self.monolithic_s,
             "speedup": self.speedup,
         }
         if self.error is not None:
@@ -307,6 +322,11 @@ class SweepRow:
 @dataclass(frozen=True)
 class SweepTable:
     rows: tuple[SweepRow, ...]
+
+
+def _stop_counts(reasons: list[str]) -> tuple[int, ...]:
+    """How many of ``reasons`` are "tol", "stall" and "max_iters"."""
+    return tuple(reasons.count(r) for r in _STOP_REASONS)
 
 
 def _aggregate(cfg: ExperimentConfig, k: int, records: list[TrialRecord]) -> SweepRow:
@@ -323,6 +343,8 @@ def _aggregate(cfg: ExperimentConfig, k: int, records: list[TrialRecord]) -> Swe
         total_s=float(np.mean([r.total_s for r in records])),
         monolithic_s=float(np.mean(mono)) if mono else None,
         speedup=float(np.mean(spd)) if spd else None,
+        block_stops=_stop_counts([s for r in records for s in r.block_stop_reasons]),
+        tuning_stops=_stop_counts([r.tuning_stop_reason for r in records]),
     )
 
 

@@ -25,7 +25,7 @@ are the relative magnitude misfit of :func:`blockpr.forward.residual`.
 
 All three share one stop policy (:func:`_stop_reason`): a run ends when its
 residual reaches ``tol``, when it stalls (moved by less than 1e-3, relative,
-over the last 50 iterations; on noisy data ``tol`` is out of reach and the
+over the last 20 iterations; on noisy data ``tol`` is out of reach and the
 plateau is the answer), or at ``max_iters``, and
 :class:`SolverReport.stop_reason` says which. A non-finite residual raises
 :class:`Diverged`; alternating projections carry a NaN or infinite image
@@ -86,12 +86,37 @@ SolverKind = Literal["wf_truncated", "alt_proj", "unit_modulus_tuner"]
 StopReason = Literal["tol", "stall", "max_iters"]
 
 # the stall stop: the residual moved by less than _STALL_RTOL, relative, over
-# the last _STALL_WINDOW iterations
-_STALL_WINDOW = 50
+# the last _STALL_WINDOW iterations. The spectral start's power iteration ends
+# once ||v_k - v_{k-1}|| <= _SPECTRAL_STEP_TOL (unit iterates);
+# init_power_iters stays the cap. The three were picked together on the
+# benchmark's SNR-30 instances (seeds 1-3: 144 WF blocks at N = 2048, 108 at
+# N = 512, 240 AP blocks at N = 1024, and the densified N = 512 baseline):
+#
+#   window  rtol  spectral  WF iters   power iters  AP iters   baseline    WF NMSE
+#                 tol       per block  per start    per block  iters+power per seed
+#   50      1e-3  1e-3      111        40           87         120+60      (before)
+#   20      1e-3  1e-3       79        40           56          87+60      +0.1..+1.3%
+#   50      1e-3  1e-2      110        23           87         128+22      -0.8..+1.6%
+#   20      1e-3  1e-2       79        23           56          93+22      -1.3..+2.9%
+#   20      1e-3  1.5e-2     80        20           57          95+18      -2.7..+3.1%
+#   20      1e-3  2e-2       81        18           58          96+16      +0.1..+3.1%
+#   20      1e-3  3e-2       82        16           58         326+14      -1.3..+3.3%
+#   20      4e-4  1e-2       86        23           60         109+22      -0.3..+2.8%
+#   25      1e-3  1e-2       85        23           62         100+22      -1.2..+2.9%
+#   30      1e-3  1e-2       90        23           67         106+22      -1.2..+3.2%
+#   15      1e-3  1e-2       74        23           51          85+22      -1.2..+3.9%
+#
+# AP's NMSE moved by 0.3% at most, and the tuner ran 42 iterations per solve
+# at N = 2048 against 70. Paired perfbench runs (wf-n2048-p1, seeds 71-73)
+# read a median solve_s of 0.11-0.14 s for every row from 20 to 30 against
+# 0.22 s before: too close to rank, so the counts decide. Window 20 runs the
+# fewest iterations in 20..30; scaling rtol with the window (4e-4) costs 9%
+# more for no NMSE gain; a spectral tol above 1e-2 saves at most 5 power
+# iterations per start, and 3e-2 sends the baseline from 93 to 326 WF
+# iterations (mono_s 0.37-0.42 s against 0.20-0.22 s).
+_STALL_WINDOW = 20
 _STALL_RTOL = 1e-3
-# the spectral start's power iteration ends once ||v_k - v_{k-1}|| <= this
-# (unit iterates); init_power_iters stays the cap
-_SPECTRAL_STEP_TOL = 1e-3
+_SPECTRAL_STEP_TOL = 1e-2
 # wf_solve and altproj_solve iterate in their block's precision until the
 # residual first reaches this, then finish in complex128. A complex64 iteration
 # floors near 1e-7, above either tol, so without the finish a noiseless run
@@ -125,6 +150,17 @@ _CHOLQR_MIN_RCOND = 1e-3
 # near 1.5e-5, short of the complex128 finish. Gaussian blocks from 4n - 4
 # rows (1020x256) to 768x128 read 1.2e-2 to 4.1e-2.
 _CHOLQR_MIN_RCOND_SINGLE = 5e-3
+# _cholesky_qr forms Q = H R^-1 in place by scipy's trsm for a matrix of at
+# least this many entries, and column by column through numpy below it (the
+# phase tuner's L x K matrix up to K = 16; AP blocks of 64 columns and more
+# are above it). scipy's BLAS is a second OpenBLAS with its own thread pool:
+# unpinned, a trsm from about 160 x 8 up leaves its idle worker spinning for
+# about 0.13 s, and numpy's BLAS threads in the next trial's blocking step lose
+# a CPU to it. On 2 CPUs that doubled a K = 8 blocking step at N = 1024 (0.05
+# to 0.09-0.10 s, the median of three 2-trial sweeps), so that it read slower
+# than K = 4. The column loop costs about twice trsm's time (0.13 against
+# 0.05 ms on 320 x 16, 2.4 against 1.1 ms on a 768 x 128 complex64 block)
+_TRSM_MIN_ENTRIES = 2**14
 
 
 class RankDeficient(ValueError):
@@ -311,7 +347,7 @@ def spectral_init(op: np.ndarray | _LinOp, b: np.ndarray, params: WFParams,
     Runs power iterations (from a seeded random start) on the truncated
     weighted covariance (1/M) sum_{r in T} b_r h_r h_r^H,
     T = {r : b_r <= trunc_y * mean(b)}, until the unit iterate moves by at
-    most 1e-3 in one step, or for ``init_power_iters`` iterations. It then
+    most 1e-2 in one step, or for ``init_power_iters`` iterations. It then
     scales the unit eigenvector v to ||z0|| = sqrt(N * mean(b) /
     mean(||h_r||^2)) so that ||z0||^2 estimates the signal energy. The
     iteration runs in the operator's precision, and z0 has its dtype.
@@ -545,6 +581,13 @@ def _cholesky_qr(h: np.ndarray, min_rcond: float) -> tuple[np.ndarray, np.ndarra
     r, info = potrf(herk(1.0, h, trans=2), lower=0, clean=1, overwrite_a=1)
     if info != 0 or not trcon(r)[0] >= min_rcond:  # a NaN estimate fails too
         return None
+    if h.size < _TRSM_MIN_ENTRIES:
+        # column j of Q is column j of H less its part on Q's columns 0..j-1,
+        # over r_jj; in place, as trsm, through numpy's BLAS
+        for j in range(h.shape[1]):
+            h[:, j] -= h[:, :j] @ r[:j, j]
+            h[:, j] /= r[j, j]
+        return h, r
     return trsm(1.0, r, h, side=1, lower=0, overwrite_b=1), r
 
 
@@ -553,10 +596,12 @@ class LeastSquaresOperator:
 
     The factor is one pass of Cholesky QR (Fukaya et al. 2014, "CholeskyQR2"):
     R is the Cholesky factor of the Gram matrix H^H H, and Q = H R^-1 is one
-    triangular solve. Its loss of orthogonality grows as cond(H)^2, so it is
-    kept only when the Cholesky factorization succeeds and LAPACK's estimate
-    of R's reciprocal condition number is at least a threshold. The factor
-    follows H's precision. A complex64 H is copied once, to a
+    triangular solve (for fewer than 2^14 entries, such as the phase
+    tuner's matrix, solved column by column through numpy, which keeps
+    scipy's BLAS thread pool idle). Its loss of orthogonality grows as
+    cond(H)^2, so it is kept only when the Cholesky factorization succeeds
+    and LAPACK's estimate of R's reciprocal condition number is at least a
+    threshold. The factor follows H's precision. A complex64 H is copied once, to a
     Fortran-ordered complex64 array that the triangular solve turns into Q
     in place, and is kept in complex64 when that estimate is at least 5e-3
     (||Q^H Q - I|| about 2e-6 on a 768x128 Gaussian block). Otherwise, and
@@ -575,17 +620,20 @@ class LeastSquaresOperator:
     deficiency within 1e-10 relative tolerance.
     """
 
-    def __init__(self, matrix: np.ndarray):
+    def __init__(self, matrix: np.ndarray, overwrite_a: bool = False):
         matrix = np.asarray(matrix)
         if matrix.ndim != 2:
             raise ValueError("expected a 2-D matrix")
         if matrix.shape[0] < matrix.shape[1]:
             raise ValueError(f"need rows >= cols, got {matrix.shape}")
+        # with overwrite_a, a Fortran-ordered matrix of the factor's dtype is
+        # factored in place instead of copied
+        to_f = np.asarray if overwrite_a else np.array
         qr = None
         if matrix.dtype == np.complex64:
-            qr = _cholesky_qr(np.array(matrix, order="F"), _CHOLQR_MIN_RCOND_SINGLE)
+            qr = _cholesky_qr(to_f(matrix, order="F"), _CHOLQR_MIN_RCOND_SINGLE)
         if qr is None:
-            h = np.array(matrix, dtype=np.complex128, order="F")
+            h = to_f(matrix, dtype=np.complex128, order="F")
             qr = (_cholesky_qr(h, _CHOLQR_MIN_RCOND)
                   or scipy.linalg.qr(h, mode="economic", check_finite=False))
         self.q, self.r = qr
@@ -604,9 +652,13 @@ class LeastSquaresOperator:
         return scipy.linalg.solve_triangular(self.r, u, lower=False, check_finite=False)
 
 
-def pinv_factor(op: np.ndarray) -> LeastSquaresOperator:
-    """Factor a tall dense matrix once for repeated least-squares solves."""
-    return LeastSquaresOperator(_dense(op, "pinv_factor"))
+def pinv_factor(op: np.ndarray, overwrite_a: bool = False) -> LeastSquaresOperator:
+    """Factor a tall dense matrix once for repeated least-squares solves.
+
+    With ``overwrite_a`` the factor may overwrite ``op`` (as scipy.linalg's
+    ``overwrite_a``): pass it only for a copy no one else holds.
+    """
+    return LeastSquaresOperator(_dense(op, "pinv_factor"), overwrite_a)
 
 
 def _phases(v: np.ndarray, absv: np.ndarray) -> np.ndarray:
@@ -658,7 +710,9 @@ def _project_run(mat: np.ndarray, lsq: LeastSquaresOperator, target: np.ndarray,
         trace.append(float(np.linalg.norm(absmx - mag)) / norm_target)
         reason = _stop_reason(trace, len(trace), params.tol, params.max_iters)
         if reason is None and trace[-1] <= _FINISH_RESID and mag.dtype != np.float64:
-            # from here on the image carries more digits than complex64 holds
+            # from here on the image carries more digits than complex64 holds;
+            # the complex64 factor is let go first, so full() can free it
+            lsq = None
             lsq, mag = full(), target
             mx = mx.astype(np.complex128)
             absmx = np.abs(mx)
@@ -667,10 +721,10 @@ def _project_run(mat: np.ndarray, lsq: LeastSquaresOperator, target: np.ndarray,
     return _Run(x.astype(np.complex128, copy=False), trace[-1], len(trace), trace, reason)
 
 
-def _timed_factor(op: np.ndarray) -> tuple[LeastSquaresOperator, float]:
+def _timed_factor(op: np.ndarray, **kwargs) -> tuple[LeastSquaresOperator, float]:
     """:func:`pinv_factor` of ``op`` and the seconds it took."""
     t0 = time.perf_counter()
-    lsq = pinv_factor(op)
+    lsq = pinv_factor(op, **kwargs)
     return lsq, time.perf_counter() - t0
 
 
@@ -691,11 +745,13 @@ def altproj_solve(
     and z = R^-1 u is solved once per restart. The iteration runs in the
     factor's precision: on a complex64 block that takes a complex64 factor
     it steps with float32 magnitudes and, the first time its residual is at
-    most 1e-5, switches to a complex128 factor of the block (made once per
-    solve, and counted in ``factor_s``), so noiseless runs still reach
-    ``tol``. The residual sequence is non-increasing (each step projects
-    onto the modulus set, then onto the operator range), up to float32
-    rounding on a complex64 factor. A NaN or infinite iterate raises
+    most 1e-5, switches to a complex128 factor of the block, so noiseless
+    runs still reach ``tol``. That factor is made once per solve, from one
+    complex128 copy of the block, after the complex64 one is freed, and
+    counted in ``factor_s``; later restarts of the solve iterate on it. The
+    residual sequence is non-increasing (each step projects onto the
+    modulus set, then onto the operator range), up to float32 rounding on a
+    complex64 factor. A NaN or infinite iterate raises
     :class:`Diverged`. An all-zero ``a`` short-circuits to z = 0, converged.
     The estimate is complex128.
     """
@@ -707,8 +763,9 @@ def altproj_solve(
     if float(np.linalg.norm(a)) == 0:
         return _finish(t0, params.tol,
                        _Run(np.zeros(n, dtype=np.complex128), 0.0, 0, [0.0], "tol"), 0)
+    lin = _LinOp(op)  # every restart's spectral start reads its row norms
     lsq, factor_s = _timed_factor(op)
-    finish = []  # the complex128 factor a complex64 run finishes on, and its seconds
+    finish_s = 0.0
     norm_a = float(np.linalg.norm(a))
 
     if z0 is not None:
@@ -720,18 +777,20 @@ def altproj_solve(
     def start(r: int) -> np.ndarray:
         if z0 is not None:
             return z0.copy()
-        return spectral_init(op, a * a, WFParams(), mix_seed(seed, r))
+        return spectral_init(lin, a * a, WFParams(), mix_seed(seed, r))
 
     def full() -> LeastSquaresOperator:
-        if not finish:
-            finish.extend(_timed_factor(op.astype(np.complex128)))
-        return finish[0]
+        # the solve switches to complex128 for good: the complex64 factor is
+        # freed before the complex128 one is made from one copy of the block
+        nonlocal lsq, finish_s
+        lsq = None
+        lsq, finish_s = _timed_factor(op.astype(np.complex128, order="F"), overwrite_a=True)
+        return lsq
 
     def iterate(z: np.ndarray) -> _Run:
         return _project_run(op, lsq, a, norm_a, z, params, full=full)
 
     best, used, init_s, iter_s = _best_restart(start, iterate, restarts)
-    finish_s = finish[1] if finish else 0.0
     return _finish(t0, params.tol, best, used, init_s, iter_s - finish_s, factor_s + finish_s)
 
 

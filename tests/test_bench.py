@@ -1,11 +1,12 @@
 import json
 import math
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from blockpr import bench
+from blockpr import bench, solvers
 from blockpr.bench import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -240,14 +241,16 @@ def small_cfg(**kw):
 
 
 def test_sweep_n_monotone_cost():
-    # 40 iterations lie below the 50-iteration stall window and noisy runs
-    # never reach tol, so every restart runs exactly 40 iterations and cost
-    # grows with N by construction; 20 restarts give each block 800
+    # 16 iterations lie below the 20-iteration stall window and noisy runs
+    # never reach tol, so every restart runs exactly 16 iterations and cost
+    # grows with N by construction; 50 restarts give each block 800
     # iterations. One sweep's reading is still noise-bound (a scheduler
     # hiccup can swap two neighbouring points), so the gate reads each
     # point's median over three timed sweeps
+    params = WFParams(max_iters=16)
+    assert params.max_iters < solvers._STALL_WINDOW
     cfg = small_cfg(snr_db=30.0, trials=2,
-                    solver=SolverSpec("wf_truncated", WFParams(max_iters=40), restarts=20))
+                    solver=SolverSpec("wf_truncated", params, restarts=50))
     sweep(cfg, n_list=[64, 128, 256])  # untimed warm-up
     tables = [sweep(cfg, n_list=[64, 128, 256]) for _ in range(3)]
     assert all(len(t.rows) == 3 for t in tables)
@@ -271,6 +274,33 @@ def test_sweep_k_blocking_time_decreases():
     assert all(r.error is None for t in tables for r in t.rows)
     blocking = np.median([[r.blocking_s for r in t.rows] for t in tables], axis=0)
     assert all(b1 > b2 for b1, b2 in zip(blocking, blocking[1:]))
+
+
+@pytest.mark.parametrize("snr_db", [math.inf, 30.0])
+def test_sweep_counts_stop_reasons(snr_db):
+    # a point counts the stop reasons of its timed trials' block and tuning
+    # solves, in the order tol, stall, max_iters; the reports carry them
+    cfg = small_cfg(snr_db=snr_db, trials=3)
+    (row,) = sweep(cfg, n_list=[64]).rows
+    records = [run_trial(replace(cfg, n=64), mix_seed(cfg.seed, bench._LANE_TRIAL, 64, t))
+               for t in range(cfg.trials)]
+    blocks = [s for r in records for s in r.block_stop_reasons]
+    tuning = [r.tuning_stop_reason for r in records]
+    reasons = ("tol", "stall", "max_iters")
+    assert row.block_stops == tuple(blocks.count(s) for s in reasons)
+    assert row.tuning_stops == tuple(tuning.count(s) for s in reasons)
+    assert sum(row.block_stops) == cfg.trials * 2 and sum(row.tuning_stops) == cfg.trials
+    rec = row.as_record()
+    assert [rec[f"block_{s}"] for s in reasons] == list(row.block_stops)
+    assert [rec[f"tuning_{s}"] for s in reasons] == list(row.tuning_stops)
+
+
+def test_sweep_failed_point_has_no_stop_counts():
+    (row,) = sweep(small_cfg(), k_list=[5]).rows  # 5 does not divide 32
+    assert row.block_stops is None and row.tuning_stops is None
+    rec = row.as_record()
+    assert all(rec[f"{stage}_{s}"] is None for stage in ("block", "tuning")
+               for s in ("tol", "stall", "max_iters"))
 
 
 def test_sweep_requires_exactly_one_list():

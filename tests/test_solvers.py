@@ -44,6 +44,35 @@ def correlation(u, v):
     return abs(np.vdot(u, v)) / (np.linalg.norm(u) * np.linalg.norm(v))
 
 
+# ---------------------------------------------------------------- stop policy
+
+def _stops(trace):
+    """The stop policy on a residual trace that began with the initial residual, as WF's does."""
+    return solvers._stop_reason(list(trace), len(trace) - 1, 1e-8, 10**6)
+
+
+def test_stop_reason_flat_trace_stalls_after_one_window():
+    w = solvers._STALL_WINDOW
+    assert [_stops([0.5] * k) for k in range(1, w + 1)] == [None] * w
+    assert _stops([0.5] * (w + 1)) == "stall"
+
+
+@pytest.mark.parametrize("fall, stops", [(2.0, None), (0.5, "stall")])
+def test_stop_reason_stall_reads_the_fall_over_one_window(fall, stops):
+    # the residual falls geometrically by fall * _STALL_RTOL per window: a
+    # fall larger than _STALL_RTOL iterates on, a smaller one is a stall
+    w, rtol = solvers._STALL_WINDOW, solvers._STALL_RTOL
+    trace = 0.5 * (1 - fall * rtol) ** (np.arange(3 * w + 1) / w)
+    assert [_stops(trace[:k]) for k in range(1, w + 1)] == [None] * w
+    assert {_stops(trace[:k]) for k in range(w + 1, 3 * w + 2)} == {stops}
+
+
+def test_stop_reason_growing_trace_does_not_stop():
+    w, rtol = solvers._STALL_WINDOW, solvers._STALL_RTOL
+    trace = 0.5 * (1 + 2 * rtol) ** (np.arange(3 * w + 1) / w)
+    assert {_stops(trace[:k]) for k in range(1, 3 * w + 2)} == {None}
+
+
 # ---------------------------------------------------------------- spectral init
 
 def test_spectral_init_correlation_monte_carlo(monkeypatch):
@@ -238,6 +267,19 @@ def test_pinv_factor_makes_one_complex128_copy(block64_snr30, traced_peak):
     assert np.linalg.norm(lsq.q @ lsq.r - h) <= 1e-12 * np.linalg.norm(h)
 
 
+def test_spectral_init_complex64_block_stops_before_the_cap(block64_snr30, monkeypatch):
+    # the step tolerance, not init_power_iters, ends the power iteration on
+    # a Table-1 block (768 x 128, complex64, SNR 30)
+    matvec = solvers._LinOp.matvec
+    calls = []
+    monkeypatch.setattr(solvers._LinOp, "matvec",
+                        lambda self, z: calls.append(1) or matvec(self, z))
+    for seed in range(3):
+        calls.clear()
+        spectral_init(block64_snr30.operator, block64_snr30.measurements, WFParams(), seed)
+        assert len(calls) < WFParams().init_power_iters, seed
+
+
 def test_pinv_factor_makes_one_complex64_copy(block64_snr30, traced_peak):
     # a complex64 block is factored in its own precision, in one complex64
     # copy; ||QR - H|| / ||H|| read 5.9e-8 to 6.1e-8 on six 768 x 128 blocks
@@ -250,6 +292,40 @@ def test_pinv_factor_makes_one_complex64_copy(block64_snr30, traced_peak):
 
 
 # ---------------------------------------------------------------- pinv_factor
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+def test_pinv_factor_overwrites_only_when_asked(dtype):
+    # a caller's Fortran-ordered matrix of the factor's dtype is copied;
+    # with overwrite_a it becomes Q, and the factor is the same bit for bit
+    h = np.asfortranarray(complex_normal(generator(24), (96, 16)).astype(dtype))
+    kept = h.copy(order="F")
+    lsq = pinv_factor(h)
+    assert h.tobytes() == kept.tobytes() and not np.shares_memory(lsq.q, h)
+    in_place = pinv_factor(h, overwrite_a=True)
+    assert np.shares_memory(in_place.q, h)
+    assert in_place.q.tobytes() == lsq.q.tobytes() and in_place.r.tobytes() == lsq.r.tobytes()
+
+
+def test_pinv_factor_runs_scipy_trsm_only_on_large_matrices(monkeypatch):
+    # a trsm wakes scipy's own BLAS thread pool, whose idle worker then takes
+    # a CPU from numpy's; the tuner's matrix (320 x 16 at N = 2048) forms Q
+    # through numpy, an AP block (768 x 128) by trsm in place
+    get_funcs = solvers.blas.get_blas_funcs
+    trsm_shapes = []
+
+    def recording(names, arrays):
+        herk, trsm = get_funcs(names, arrays)
+        return herk, lambda alpha, r, h, **kw: trsm_shapes.append(h.shape) or trsm(alpha, r, h, **kw)
+
+    monkeypatch.setattr(solvers.blas, "get_blas_funcs", recording)
+    rng = generator(25)
+    for shape in [(320, 16), (768, 128)]:
+        h = complex_normal(rng, shape)
+        lsq = pinv_factor(h)
+        assert np.linalg.norm(lsq.q @ lsq.r - h) <= 1e-12 * np.linalg.norm(h)
+        assert np.linalg.norm(lsq.q.conj().T @ lsq.q - np.eye(shape[1])) <= 1e-12
+    assert trsm_shapes == [(768, 128)]
+
 
 def test_pinv_identity():
     lsq = pinv_factor(np.eye(3, dtype=complex))
@@ -490,7 +566,8 @@ def test_altproj_complex64_noiseless_runs_finish_on_a_second_factor(monkeypatch)
     # whose seconds count as factorization, not iteration
     calls = []
     factor = solvers.pinv_factor
-    monkeypatch.setattr(solvers, "pinv_factor", lambda op: calls.append(op.dtype) or factor(op))
+    monkeypatch.setattr(solvers, "pinv_factor",
+                        lambda op, **kw: calls.append(op.dtype) or factor(op, **kw))
     for t in range(5):
         inst, x = gaussian_instance(mix_seed(975, t), 16, 96, dtype=np.complex64)
         calls.clear()
@@ -499,6 +576,19 @@ def test_altproj_complex64_noiseless_runs_finish_on_a_second_factor(monkeypatch)
         assert calls == [np.complex64, np.complex128]
         assert rep.init_s + rep.iter_s + rep.factor_s <= rep.wall_time_seconds
         assert nmse(x, z) <= 1e-15
+
+
+def test_altproj_complex64_noiseless_finish_holds_one_complex128_copy(traced_peak):
+    # a noiseless complex64 run finishes on a complex128 factor: the solve
+    # frees its complex64 factor (Q and R, 0.92 MB), then factors one
+    # complex128 copy of the block (1.57 MB) in place. The bound would hold
+    # both at once, with 0.3 MB for R and vectors; the peak read 1.92 MB, and
+    # 4.36 MB when the finish made two copies beside the complex64 factor
+    inst, _ = gaussian_instance(61, 128, 768, dtype=np.complex64)
+    m, n = inst.operator.shape
+    (z, rep), peak = traced_peak(lambda: altproj_solve(inst, seed=1))
+    assert rep.stop_reason == "tol"
+    assert peak <= (8 * m * n + 8 * n * n) + 16 * m * n + 0.3e6
 
 
 def test_altproj_complex64_block_matches_its_complex128_promotion(block64_snr30, traced_peak):
