@@ -32,7 +32,6 @@ from .forward import (
     magnitudes_from_intensity,
     measure,
     nmse,
-    residual,
 )
 from .io import BPR1Error, load_bpr1, save_bpr1
 from .pipeline import (

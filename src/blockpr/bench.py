@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -92,9 +93,20 @@ def select_k(n: int, mode: Literal["empirical"] = "empirical") -> int:
     return min(divisors, key=lambda d: (abs(math.log(d) - math.log(k)), d))
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment's parameters; JSON files use these exact field names."""
+    """One experiment's parameters; JSON files use these exact field names.
+
+    A value outside its field's domain raises ValueError naming the field.
+    """
 
     n: int
     k: int | str = "auto"
@@ -109,20 +121,26 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("alpha and beta must be positive")
-        if self.k != "auto":
-            object.__setattr__(self, "k", int(self.k))
-            if self.k < 1:
-                raise ValueError("k must be >= 1 or 'auto'")
-        if math.isnan(self.snr_db):
-            raise ValueError("snr_db must be a number or +inf")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.parallelism is not None and self.parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
+        if isinstance(self.k, str) and self.k.strip().isdecimal():
+            object.__setattr__(self, "k", int(self.k))  # the string that --k passes
+        checks = [
+            ("n", _is_int(self.n) and self.n >= 1, "an integer >= 1"),
+            ("k", self.k == "auto" or (_is_int(self.k) and self.k >= 1), "an integer >= 1 or 'auto'"),
+            ("alpha", _is_real(self.alpha) and math.isfinite(self.alpha) and self.alpha > 0,
+             "finite and > 0"),
+            ("beta", _is_real(self.beta) and math.isfinite(self.beta) and self.beta > 0,
+             "finite and > 0"),
+            ("snr_db", _is_real(self.snr_db)
+             and (math.isfinite(self.snr_db) or self.snr_db == math.inf), "finite or +inf"),
+            ("trials", _is_int(self.trials) and self.trials >= 1, "an integer >= 1"),
+            ("seed", _is_int(self.seed), "an integer"),
+            ("noisy_tuning", isinstance(self.noisy_tuning, bool), "true or false"),
+            ("parallelism", self.parallelism is None
+             or (_is_int(self.parallelism) and self.parallelism >= 1), "an integer >= 1"),
+        ]
+        for name, ok, domain in checks:
+            if not ok:
+                raise ValueError(f"{name} must be {domain}, got {getattr(self, name)!r}")
 
     def resolved_k(self) -> int:
         """K, with "auto" resolved by :func:`select_k`, checked against n, alpha and beta.
@@ -199,12 +217,12 @@ def gen_instance(cfg: ExperimentConfig, trial_seed: int) -> tuple[BlockPRInstanc
     op = KRBDMatrix(tuple(blocks))
 
     y = add_noise_intensity(
-        measure(op, x, "intensity"),
+        measure(op, x),
         NoiseSpec(cfg.snr_db, mix_seed(trial_seed, _LANE_NOISE_Y, 0)),
     )
     tuning_snr = cfg.snr_db if cfg.noisy_tuning else math.inf
     y_t = add_noise_intensity(
-        measure(a_mat, x, "intensity"),
+        measure(a_mat, x),
         NoiseSpec(tuning_snr, mix_seed(trial_seed, _LANE_NOISE_TUNING, 0)),
     )
     base = PRInstance(op, y, "intensity", snr_db=cfg.snr_db)

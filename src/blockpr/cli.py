@@ -323,9 +323,13 @@ def main(argv=None) -> int:
                 if cfg.output_path is None:
                     raise ValueError("gen requires --out DIRECTORY")
                 cfg.resolved_k()  # K is checked against n once resolved
-            elif args.command == "table1":
-                for n in args.n_list:  # every row is checked before any runs
-                    dataclasses.replace(cfg, n=n).resolved_k()
+            else:
+                if args.command == "table1":
+                    for n in args.n_list:  # every row is checked before any runs
+                        dataclasses.replace(cfg, n=n).resolved_k()
+                out = cfg.output_path  # the report is written after the last trial
+                if out and not Path(out).parent.is_dir():
+                    raise FileNotFoundError(f"--out: no directory {Path(out).parent}")
     except (ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,11 +1,10 @@
 """Domain types for block-structured phase retrieval problems.
 
-Vectors and dense matrices are plain numpy arrays; the validators
-:func:`as_complex_vector` and :func:`as_dense_matrix` enforce the
-shape/finiteness contracts at construction boundaries. Structured
-containers (:class:`BlockPartition`, :class:`KRBDMatrix`,
-:class:`PRInstance`, :class:`BlockPRInstance`) are frozen dataclasses whose
-stored arrays are marked read-only and C-contiguous, so every type here is
+Vectors and dense matrices are plain numpy arrays; :func:`as_complex_vector`
+coerces signals. Structured containers (:class:`BlockPartition`,
+:class:`KRBDMatrix`, :class:`PRInstance`, :class:`BlockPRInstance`) are
+frozen dataclasses that check the shape and finiteness of every array they
+store and keep it read-only and C-contiguous, so every type here is
 immutable after construction and shared copy-on-write by forked workers.
 Measurements are intensities |H x|^2; a solver that needs magnitudes takes
 their square roots itself.
@@ -31,27 +30,33 @@ __all__ = [
     "KRBDMatrix",
     "PRInstance",
     "as_complex_vector",
-    "as_dense_matrix",
     "concat_blocks",
 ]
 
 
-def _frozen(a: np.ndarray, dtype) -> np.ndarray:
+def _frozen(a: np.ndarray, dtype, ndim: int) -> np.ndarray:
     """``a`` as a read-only, C-contiguous ``dtype`` array: ``a`` itself if it is one, else one copy.
 
-    A value beyond ``dtype``'s range becomes infinite, for the caller's
-    finiteness check to reject.
+    Raises ValueError unless the array has ``ndim`` dimensions, none of
+    them zero, and finite entries; a value beyond ``dtype``'s range becomes
+    infinite, and is refused with them.
     """
-    if (
+    if not (
         isinstance(a, np.ndarray)
         and a.dtype == dtype
         and a.flags.c_contiguous
         and not a.flags.writeable
     ):
-        return a
-    with np.errstate(over="ignore"):
-        a = np.array(a, dtype=dtype, order="C")
-    a.setflags(write=False)
+        with np.errstate(over="ignore"):
+            a = np.array(a, dtype=dtype, order="C")
+        a.setflags(write=False)
+    what = "matrix" if ndim == 2 else "measurement vector"
+    if a.ndim != ndim:
+        raise ValueError(f"expected a {ndim}-D {what}, got shape {a.shape}")
+    if 0 in a.shape:
+        raise ValueError(f"{what} has a zero dimension: shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{what} has non-finite entries")
     return a
 
 
@@ -63,18 +68,6 @@ def as_complex_vector(x, *, check_finite: bool = True) -> np.ndarray:
     if check_finite and not np.all(np.isfinite(a)):
         raise ValueError("vector has non-finite entries")
     return a
-
-
-def as_dense_matrix(a, *, check_finite: bool = True, dtype=np.complex128) -> np.ndarray:
-    """Coerce to a 2-D ``dtype`` array with positive dimensions."""
-    m = np.asarray(a, dtype=dtype)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
-    if m.shape[0] == 0 or m.shape[1] == 0:
-        raise ValueError(f"matrix has a zero dimension: shape {m.shape}")
-    if check_finite and not np.all(np.isfinite(m)):
-        raise ValueError("matrix has non-finite entries")
-    return m
 
 
 @dataclass(frozen=True)
@@ -135,8 +128,7 @@ class KRBDMatrix:
     partition: BlockPartition = field(init=False)
 
     def __post_init__(self):
-        blocks = tuple(as_dense_matrix(_frozen(b, np.complex64), dtype=np.complex64)
-                       for b in self.blocks)
+        blocks = tuple(_frozen(b, np.complex64, 2) for b in self.blocks)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "partition", BlockPartition(
             tuple(b.shape[0] for b in blocks), tuple(b.shape[1] for b in blocks)))
@@ -185,15 +177,9 @@ class PRInstance:
     snr_db: float | None = None
 
     def __post_init__(self):
-        meas = np.asarray(self.measurements, dtype=np.float64)
-        if meas.ndim != 1:
-            raise ValueError("measurements must be a 1-D real vector")
-        if not np.all(np.isfinite(meas)):
-            raise ValueError("measurements have non-finite entries")
+        meas = _frozen(self.measurements, np.float64, 1)
         if np.any(meas < 0):
             raise ValueError("measurements must be nonnegative")
-        meas = meas.copy()
-        meas.setflags(write=False)
         object.__setattr__(self, "measurements", meas)
         if self.kind != "intensity":
             raise ValueError(f"measurements must be intensities, got kind {self.kind!r}")
@@ -201,8 +187,7 @@ class PRInstance:
             dtype = getattr(self.operator, "dtype", None)
             if dtype not in (np.complex64, np.complex128):
                 dtype = np.complex128
-            op = as_dense_matrix(_frozen(self.operator, dtype), dtype=dtype)
-            object.__setattr__(self, "operator", op)
+            object.__setattr__(self, "operator", _frozen(self.operator, dtype, 2))
         rows = self.operator.shape[0]
         if len(meas) != rows:
             raise ValueError(f"got {len(meas)} measurements for {rows} operator rows")
@@ -230,13 +215,11 @@ class BlockPRInstance:
     def __post_init__(self):
         if not isinstance(self.base.operator, KRBDMatrix):
             raise ValueError("base operator must be a KRBDMatrix")
-        tm = as_dense_matrix(_frozen(self.tuning_matrix, np.complex128))
+        tm = _frozen(self.tuning_matrix, np.complex128, 2)
         object.__setattr__(self, "tuning_matrix", tm)
-        ty = np.asarray(self.tuning_measurements, dtype=np.float64)
-        if ty.ndim != 1 or np.any(ty < 0) or not np.all(np.isfinite(ty)):
-            raise ValueError("tuning measurements must be a finite nonnegative 1-D vector")
-        ty = ty.copy()
-        ty.setflags(write=False)
+        ty = _frozen(self.tuning_measurements, np.float64, 1)
+        if np.any(ty < 0):
+            raise ValueError("tuning measurements must be nonnegative")
         object.__setattr__(self, "tuning_measurements", ty)
         if self.beta <= 0:
             raise ValueError("beta must be positive")

@@ -1,7 +1,6 @@
 """Measurement models, noise injection, and evaluation metrics.
 
-The measurement map is y = |H x|^2 (intensity), which every problem holds,
-or y = |H x| (magnitude), the form of the phase tuner's targets y_t = |B d|.
+The measurement map is y = |H x|^2 (intensity), which every problem holds.
 Noise is added on the intensity scale: w ~ N(0, sigma^2) i.i.d. real with
 sigma^2 = mean(b^2) * 10^(-snr_db/10), negative results clamped to zero.
 Error metrics quotient out the global phase ambiguity |H(e^{j theta} x)| =
@@ -14,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -29,7 +27,6 @@ __all__ = [
     "magnitudes_from_intensity",
     "measure",
     "nmse",
-    "residual",
 ]
 
 
@@ -44,8 +41,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if math.isnan(self.snr_db):
-            raise ValueError("snr_db must be finite or +inf")
+        if not (math.isfinite(self.snr_db) or self.snr_db == math.inf):
+            raise ValueError(f"snr_db must be finite or +inf, got {self.snr_db}")
 
     @property
     def noiseless(self) -> bool:
@@ -73,14 +70,10 @@ def apply(op: Operator, x: np.ndarray) -> np.ndarray:
     return op @ x
 
 
-def measure(op: Operator, x: np.ndarray, kind: Literal["magnitude", "intensity"]) -> np.ndarray:
-    """Noiseless measurements |H x| or |H x|^2."""
+def measure(op: Operator, x: np.ndarray) -> np.ndarray:
+    """Noiseless intensities |H x|^2."""
     v = np.abs(apply(op, x))
-    if kind == "magnitude":
-        return v
-    if kind == "intensity":
-        return v * v
-    raise ValueError(f"unknown measurement kind {kind!r}")
+    return v * v
 
 
 def add_noise_intensity(b: np.ndarray, spec: NoiseSpec) -> np.ndarray:
@@ -136,11 +129,3 @@ def nmse(x_ref: np.ndarray, x_est: np.ndarray) -> float:
     c = align_global_phase(x_ref, x_est)
     return float(np.linalg.norm(x_ref - c * x_est)) ** 2 / ref_energy
 
-
-def residual(op: Operator, a: np.ndarray, z: np.ndarray) -> float:
-    """Relative magnitude-domain data misfit || |H z| - a || / ||a||."""
-    a = np.asarray(a, dtype=np.float64)
-    norm_a = float(np.linalg.norm(a))
-    if norm_a == 0:
-        raise ValueError("measurement vector is zero")
-    return float(np.linalg.norm(np.abs(apply(op, z)) - a)) / norm_a

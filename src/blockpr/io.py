@@ -1,15 +1,14 @@
 """BPR1 binary interchange format.
 
 BPR1 layout: magic bytes ``BPR1``, u32 little-endian rows, u32 cols, u8
-kind flag (0 = vector, 1 = dense, 2 = krbd, 3 = krbd in single precision).
-A krbd payload continues with u32 K and K per-block (u32 rows, u32 cols)
-headers. Entries follow as interleaved (re, im) little-endian pairs,
-row-major, blocks in order for krbd, and end the file: float64 pairs
-(16 bytes per entry) for kinds 0-2, float32 pairs (8 bytes) for kind 3.
-:func:`save_bpr1` writes every :class:`~blockpr.core.KRBDMatrix` as kind 3,
-since its blocks are complex64; a kind-2 file still loads, with its blocks
-rounded to complex64. A malformed file, or an array whose dimensions do
-not fit a u32, raises :class:`BPR1Error`.
+kind flag (0 = vector, 1 = dense, 3 = krbd in single precision). A krbd
+payload continues with u32 K and K per-block (u32 rows, u32 cols) headers.
+Entries follow as interleaved (re, im) little-endian pairs, row-major,
+blocks in order for krbd, and end the file: float64 pairs (16 bytes per
+entry) for kinds 0 and 1, float32 pairs (8 bytes) for kind 3. Kind 2, the
+double-precision krbd of older files, is refused, and its number is not
+reused. A malformed file, or an array whose dimensions do not fit a u32,
+raises :class:`BPR1Error`.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ __all__ = ["BPR1Error", "load_bpr1", "save_bpr1"]
 _MAGIC = b"BPR1"
 _KIND_VECTOR = 0
 _KIND_DENSE = 1
-_KIND_KRBD = 2
 _KIND_KRBD32 = 3
 
 Saveable = Union[np.ndarray, KRBDMatrix]
@@ -108,7 +106,6 @@ def load_bpr1(path: str | Path) -> Saveable:
     Each payload is read straight into the array returned. Vectors and
     dense matrices come back writeable complex128; kind-3 KRBD blocks come
     back read-only complex64, so the KRBDMatrix holds them without a copy.
-    Kind-2 blocks are read as complex128 and rounded by the KRBDMatrix.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -122,13 +119,12 @@ def load_bpr1(path: str | Path) -> Saveable:
             out = _read_entries(fh, size, (rows,))
         elif kind == _KIND_DENSE:
             out = _read_entries(fh, size, (rows, cols))
-        elif kind in (_KIND_KRBD, _KIND_KRBD32):
+        elif kind == _KIND_KRBD32:
             k = struct.unpack("<I", _read_exact(fh, size, 4))[0]
             dims = struct.unpack(f"<{2 * k}I", _read_exact(fh, size, 8 * k))
-            dtype = "<c8" if kind == _KIND_KRBD32 else "<c16"
             blocks = []
             for shape in zip(dims[::2], dims[1::2]):
-                block = _read_entries(fh, size, shape, dtype)
+                block = _read_entries(fh, size, shape, "<c8")
                 block.setflags(write=False)
                 blocks.append(block)
             try:
@@ -137,6 +133,9 @@ def load_bpr1(path: str | Path) -> Saveable:
                 raise BPR1Error(f"bad block headers or entries: {exc}") from None
             if out.shape != (rows, cols):
                 raise BPR1Error("block headers inconsistent with overall shape")
+        elif kind == 2:
+            raise BPR1Error("BPR1 kind 2 (double-precision krbd) is no longer read; "
+                            "regenerate the instance with `blockpr gen`")
         else:
             raise BPR1Error(f"unknown BPR1 kind flag {kind}")
         trailing = size - fh.tell()

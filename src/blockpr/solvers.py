@@ -21,7 +21,8 @@ Every solver is a pure function of (problem, params, seed): restarts use
 seeds derived with :func:`blockpr.rng.mix_seed`, the winner is the restart
 with the lowest final residual (ties to the lowest restart index), and a
 restart that reaches the tolerance stops the restart loop early. Residuals
-are the relative magnitude misfit of :func:`blockpr.forward.residual`.
+are the relative magnitude misfit || |H z| - sqrt(y) || / || sqrt(y) || of
+an estimate z to the intensities y.
 
 All three share one stop policy (:func:`_stop_reason`): a run ends when its
 residual reaches ``tol``, when it stalls (moved by less than 1e-3, relative,
@@ -267,7 +268,9 @@ class SolverSpec:
 class SolverReport:
     """Per-run diagnostics of a solver invocation.
 
-    ``residuals`` traces the winning restart (entry 0 is the initial
+    ``final_residual`` is the winning restart's relative misfit
+    || |H z| - sqrt(y) || / || sqrt(y) || to the intensities y, and
+    ``residuals`` traces it over that restart (entry 0 is the initial
     residual for wf_solve, and each subsequent entry follows one update).
     ``stop_reason`` says why the winning restart stopped: "tol", "stall"
     or "max_iters". ``init_s``, ``iter_s`` and ``factor_s`` split the wall
@@ -442,6 +445,17 @@ def _best_restart(start: Callable[[int], np.ndarray], iterate: Callable[[np.ndar
     return best, restarts, init_s, iter_s
 
 
+def _starts(z0: np.ndarray | None, n: int, restarts: int,
+            spectral: Callable[[int], np.ndarray]) -> tuple[Callable[[int], np.ndarray], int]:
+    """Each restart's starting point and the restart count: ``spectral``'s, or one run from ``z0``."""
+    if z0 is None:
+        return spectral, restarts
+    z0 = as_complex_vector(z0)
+    if len(z0) != n:
+        raise ValueError(f"z0 has length {len(z0)}, expected {n}")
+    return lambda r: z0.copy(), 1
+
+
 def _finish(t0: float, tol: float, best: _Run, restarts_used: int, init_s: float = 0.0,
             iter_s: float = 0.0, factor_s: float = 0.0):
     report = SolverReport(
@@ -499,16 +513,8 @@ def wf_solve(
     if params.loss == "gaussian":
         step /= float(np.mean(b))
 
-    if z0 is not None:
-        z0 = as_complex_vector(z0)
-        if len(z0) != n:
-            raise ValueError(f"z0 has length {len(z0)}, expected {n}")
-        restarts = 1
-
-    def start(r: int) -> np.ndarray:
-        if z0 is not None:
-            return z0.copy()
-        return spectral_init(lin, b, params, mix_seed(seed, r))
+    start, restarts = _starts(z0, n, restarts,
+                              lambda r: spectral_init(lin, b, params, mix_seed(seed, r)))
 
     def iterate(z: np.ndarray) -> _Run:
         op = lin
@@ -768,16 +774,8 @@ def altproj_solve(
     finish_s = 0.0
     norm_a = float(np.linalg.norm(a))
 
-    if z0 is not None:
-        z0 = as_complex_vector(z0)
-        if len(z0) != n:
-            raise ValueError(f"z0 has length {len(z0)}, expected {n}")
-        restarts = 1
-
-    def start(r: int) -> np.ndarray:
-        if z0 is not None:
-            return z0.copy()
-        return spectral_init(lin, a * a, WFParams(), mix_seed(seed, r))
+    start, restarts = _starts(z0, n, restarts,
+                              lambda r: spectral_init(lin, a * a, WFParams(), mix_seed(seed, r)))
 
     def full() -> LeastSquaresOperator:
         # the solve switches to complex128 for good: the complex64 factor is

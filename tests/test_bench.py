@@ -37,7 +37,7 @@ def test_gen_instance_shapes():
 def test_gen_instance_noiseless_measurements_exact():
     cfg = ExperimentConfig(n=16, k=2, snr_db=math.inf, trials=1)
     instance, x = gen_instance(cfg, trial_seed=7)
-    expected = measure(instance.base.operator, x, "intensity")
+    expected = measure(instance.base.operator, x)
     assert np.array_equal(instance.base.measurements, expected)
 
 
@@ -55,9 +55,9 @@ def test_gen_instance_deterministic():
 def test_gen_instance_clean_tuning_flag():
     cfg = ExperimentConfig(n=16, k=2, snr_db=20.0, noisy_tuning=False, trials=1)
     instance, x = gen_instance(cfg, trial_seed=5)
-    expected = measure(instance.tuning_matrix, x, "intensity")
+    expected = measure(instance.tuning_matrix, x)
     assert np.array_equal(instance.tuning_measurements, expected)
-    noisy = measure(instance.base.operator, x, "intensity")
+    noisy = measure(instance.base.operator, x)
     assert not np.array_equal(instance.base.measurements, noisy)
 
 
@@ -87,9 +87,9 @@ def _serial_instance(cfg, seed):
     ))
     a = complex_normal(generator(mix_seed(seed, bench._LANE_TUNING_MATRIX, 0)),
                        (round(cfg.beta * k), cfg.n))
-    y = add_noise_intensity(measure(op, x, "intensity"),
+    y = add_noise_intensity(measure(op, x),
                             NoiseSpec(cfg.snr_db, mix_seed(seed, bench._LANE_NOISE_Y, 0)))
-    y_t = add_noise_intensity(measure(a, x, "intensity"),
+    y_t = add_noise_intensity(measure(a, x),
                               NoiseSpec(cfg.snr_db, mix_seed(seed, bench._LANE_NOISE_TUNING, 0)))
     return [*op.blocks, y, a, y_t, x]
 

@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -145,6 +146,47 @@ def test_unwritable_output_exit_code():
     assert code == 3
 
 
+@pytest.mark.parametrize("command", [
+    ["sweep-n", "--n-list", "64,128", "--trials", "2"],
+    ["sweep-k", "--k-list", "2,4", "--n", "64", "--trials", "2"],
+    ["table1", "--n-list", "64,128", "--trials", "2"],
+], ids=["sweep-n", "sweep-k", "table1"])
+def test_missing_output_directory_exits_before_the_first_trial(tmp_path, capsys, monkeypatch,
+                                                               command):
+    import blockpr.bench
+
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran before --out was checked")
+
+    monkeypatch.setattr(blockpr.bench, "run_trial", no_trial)
+    missing = tmp_path / "missing"
+    assert run_cli([*command, "--out", str(missing / "x.csv")]) == 3
+    assert capsys.readouterr().err == f"i/o error: --out: no directory {missing}\n"
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["gen", "--n", "64", "--alpha", "inf"], "alpha"),
+    (["gen", "--n", "64", "--beta", "inf"], "beta"),
+    (["gen", "--n", "64", "--snr=-inf"], "snr_db"),
+    (["gen", "--n", "64", "CFG", {"seed": 1.5}], "seed"),
+    (["gen", "--n", "64", "CFG", {"k": 3.7}], "k"),
+    (["gen", "--n", "64", "CFG", {"noisy_tuning": "no"}], "noisy_tuning"),
+    (["sweep-n", "--n-list", "64", "CFG", {"trials": 2.5}], "trials"),
+    (["sweep-n", "--n-list", "64", "CFG", {"parallelism": True}], "parallelism"),
+], ids=["alpha-inf", "beta-inf", "snr-minus-inf", "seed-float", "k-float", "noisy-tuning-str",
+        "trials-float", "parallelism-bool"])
+def test_out_of_domain_config_value_exit_code(tmp_path, capsys, argv, field):
+    # each of these printed a traceback and exited 1, or ran with a changed value
+    if "CFG" in argv:
+        (tmp_path / "cfg.json").write_text(json.dumps(argv[-1]))
+        argv = [*argv[:-2], "--config", str(tmp_path / "cfg.json")]
+    out = tmp_path / "out"
+    assert run_cli([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid config: {field} must be ") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_failed_sweep_point_exit_code(capsys):
     # K=5 does not divide 32: the point fails, sweep completes, exit code 1
     code = run_cli(["sweep-k", "--k-list", "5", "--n", "32", "--snr", "inf",
@@ -229,6 +271,15 @@ def _set_meta(path, **changes):
     (path / "meta.json").write_text(json.dumps({k: v for k, v in meta.items() if v is not None}))
 
 
+def _kind_2_blocks(d):
+    """Rewrite h.bpr1 as kind 2, in float64 pairs, as written before single-precision blocks."""
+    op = load_bpr1(d / "h.bpr1")
+    head = struct.pack(f"<IIBI{2 * op.n_blocks}I", *op.shape, 2, op.n_blocks,
+                       *(n for b in op.blocks for n in b.shape))
+    payload = b"".join(b.astype("<c16").tobytes() for b in op.blocks)
+    (d / "h.bpr1").write_bytes(b"BPR1" + head + payload)
+
+
 @pytest.mark.parametrize("damage, message", [
     (lambda d: _set_meta(d, beta=7), "tuning rows inconsistent with beta*K"),
     (lambda d: (d / "h.bpr1").write_bytes((d / "y.bpr1").read_bytes()), "2-D matrix"),
@@ -238,8 +289,10 @@ def _set_meta(path, **changes):
     (lambda d: (d / "x.bpr1").write_bytes((d / "ty.bpr1").read_bytes()), "x.bpr1 has shape"),
     (lambda d: (d / "a.bpr1").write_bytes((d / "h.bpr1").read_bytes()),
      "a.bpr1 holds a KRBD matrix"),
+    (_kind_2_blocks, "BPR1 kind 2 (double-precision krbd) is no longer read; "
+                     "regenerate the instance with `blockpr gen`"),
 ], ids=["beta", "vector-operator", "not-json", "no-kind", "magnitude", "short-truth",
-        "krbd-tuning"])
+        "krbd-tuning", "kind-2-krbd"])
 def test_solve_malformed_instance_dir_exit_code(instance_dir, capsys, damage, message):
     # each of these ended in a raw traceback with exit 1
     damage(instance_dir)

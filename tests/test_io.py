@@ -48,22 +48,12 @@ def test_krbd_layout_is_kind_3_with_float32_pairs(tmp_path):
     assert np.frombuffer(raw[33:], dtype="<f4").tolist() == [1, 2, 3, -4, 0, 0.5, -1.5, 0]
 
 
-def test_kind_2_krbd_still_loads_rounded_to_complex64(tmp_path):
+def test_kind_2_krbd_is_refused(tmp_path):
     # a KRBD file with float64 pairs, as written before single-precision blocks
     block = complex_normal(generator(5), (3, 2))
     raw = b"BPR1" + struct.pack("<IIBI2I", 3, 2, 2, 1, 3, 2) + block.astype("<c16").tobytes()
     (tmp_path / "k2.bpr1").write_bytes(raw)
-    back = load_bpr1(tmp_path / "k2.bpr1")
-    assert isinstance(back, KRBDMatrix) and back.partition == KRBDMatrix([block]).partition
-    assert back.blocks[0].dtype == np.complex64 and not back.blocks[0].flags.writeable
-    assert back.blocks[0].tobytes() == block.astype(np.complex64).tobytes()
-
-
-def test_kind_2_krbd_entry_beyond_float32_range_is_rejected(tmp_path):
-    block = np.array([[1.0, 2e39j]])
-    raw = b"BPR1" + struct.pack("<IIBI2I", 1, 2, 2, 1, 1, 2) + block.astype("<c16").tobytes()
-    (tmp_path / "k2.bpr1").write_bytes(raw)
-    with pytest.raises(BPR1Error, match="non-finite"):
+    with pytest.raises(BPR1Error, match="kind 2 .* regenerate the instance with `blockpr gen`"):
         load_bpr1(tmp_path / "k2.bpr1")
 
 
@@ -109,15 +99,15 @@ def test_save_rejects_dimensions_past_u32(tmp_path, shape):
 
 def test_krbd_bad_block_headers(tmp_path):
     # K = 0: a KRBD header with no blocks
-    (tmp_path / "k0.bpr1").write_bytes(b"BPR1" + bytes(8) + b"\x02" + bytes(4))
+    (tmp_path / "k0.bpr1").write_bytes(b"BPR1" + bytes(8) + b"\x03" + bytes(4))
     with pytest.raises(BPR1Error, match="block headers"):
         load_bpr1(tmp_path / "k0.bpr1")
 
 
 @pytest.mark.parametrize("head", [
     struct.pack("<IIB", 2**31, 2**31, 1),
-    struct.pack("<IIBIII", 2**31, 2**31, 2, 1, 2**31, 2**31),
-    struct.pack("<IIBI", 2**31, 2**31, 2, 2**32 - 1),
+    struct.pack("<IIBIII", 2**31, 2**31, 3, 1, 2**31, 2**31),
+    struct.pack("<IIBI", 2**31, 2**31, 3, 2**32 - 1),
 ], ids=["dense", "krbd-block", "krbd-count"])
 def test_huge_header_on_a_short_file_is_truncated(tmp_path, head):
     # the payload is checked against the bytes left before anything is

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from blockpr import pipeline
 from blockpr.bench import _LANE_TUNING_MATRIX, _LANE_X, ExperimentConfig, gen_instance
 from blockpr.core import BlockPartition, BlockPRInstance, PRInstance
-from blockpr.forward import measure, nmse
+from blockpr.forward import apply, measure, nmse
 from blockpr.pipeline import (
     BlockSolveError,
     block_pr_solve,
@@ -278,7 +278,7 @@ def test_build_tuning_matrix_consistency_with_truth():
     xs = [x[cs] for cs in instance.partition.col_slices()]
     b = build_tuning_matrix(xs, instance.tuning_matrix, instance.partition)
     lhs = np.abs(b @ np.ones(3))
-    rhs = measure(instance.tuning_matrix, x, "magnitude")
+    rhs = np.abs(apply(instance.tuning_matrix, x))
     assert np.allclose(lhs, rhs, rtol=1e-10)
 
 
@@ -298,7 +298,7 @@ def test_phase_tune_already_aligned():
     instance, x = make_block_instance(111, k=4, n_i=16)
     xs = [x[cs] for cs in instance.partition.col_slices()]
     b = build_tuning_matrix(xs, instance.tuning_matrix, instance.partition)
-    y_t = measure(instance.tuning_matrix, x, "magnitude")
+    y_t = np.abs(apply(instance.tuning_matrix, x))
     d, rep = phase_tune(b, y_t, SolverSpec("unit_modulus_tuner", seed=4, restarts=50))
     merged = merge(xs, d)
     assert nmse(x, merged) <= 1e-10
@@ -312,7 +312,7 @@ def test_phase_tune_recovers_injected_phases(k):
     phases = rng.uniform(0, 2 * np.pi, k)
     shifted = [xi * np.exp(1j * p) for xi, p in zip(xs, phases)]
     b = build_tuning_matrix(shifted, instance.tuning_matrix, instance.partition)
-    y_t = measure(instance.tuning_matrix, x, "magnitude")
+    y_t = np.abs(apply(instance.tuning_matrix, x))
     d, _ = phase_tune(b, y_t, SolverSpec("unit_modulus_tuner", seed=5, restarts=50))
     rel = d * np.conj(d[0])
     target = np.exp(-1j * (phases - phases[0]))
@@ -334,7 +334,7 @@ def test_phase_tune_beta_one_fails_sometimes():
         phases = generator(mix_seed(334, t)).uniform(0, 2 * np.pi, 4)
         shifted = [xi * np.exp(1j * p) for xi, p in zip(xs, phases)]
         b = build_tuning_matrix(shifted, a, part)
-        y_t = measure(a, x, "magnitude")
+        y_t = np.abs(apply(a, x))
         d, rep = phase_tune(b, y_t, SolverSpec("unit_modulus_tuner", seed=6, restarts=10))
         err = nmse(x, merge(shifted, d))
         if not rep.converged or err > 1e-6:
@@ -348,7 +348,7 @@ def test_phase_tune_rejects_other_solvers(kind):
     instance, x = make_block_instance(444, k=2, n_i=16)
     xs = [x[cs] for cs in instance.partition.col_slices()]
     b = build_tuning_matrix(xs, instance.tuning_matrix, instance.partition)
-    y_t = measure(instance.tuning_matrix, x, "magnitude")
+    y_t = np.abs(apply(instance.tuning_matrix, x))
     with pytest.raises(ValueError, match="unit-modulus tuner only"):
         phase_tune(b, y_t, SolverSpec(kind, seed=7, restarts=10))
 
@@ -434,12 +434,12 @@ def test_block_pr_solve_phase_gauge_invariance():
     x2 = x.copy()
     x2[instance.partition.col_slices()[2]] *= np.exp(1j * theta)
     op = instance.base.operator
-    y2 = measure(op, x2, "intensity")
+    y2 = measure(op, x2)
     assert np.allclose(y2, instance.base.measurements, rtol=1e-12)  # blocks blind to theta
     inst2 = BlockPRInstance(
         PRInstance(op, y2, "intensity"),
         instance.tuning_matrix,
-        measure(instance.tuning_matrix, x2, "intensity"),
+        measure(instance.tuning_matrix, x2),
         instance.beta,
     )
     x_hat2, _ = block_pr_solve(inst2, spec)

@@ -73,6 +73,27 @@ def test_package_imports_resolve_to_module_exports():
                 f"blockpr.{node.module}.__all__ lacks {alias.name}"
 
 
+
+@pytest.mark.parametrize("path", sorted(Path(blockpr.__file__).parent.glob("[!_]*.py")),
+                         ids=lambda p: p.stem)
+def test_no_unused_module_level_import(path):
+    # a deletion can leave its imports behind (__init__.py imports to
+    # re-export, which the test above checks)
+    tree = ast.parse(path.read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    assert [name for name in bound if name not in used] == []
+
+
 # a non-default value for every option of the commands, and the extra
 # tokens of the run it is compared against
 NON_DEFAULT = {
