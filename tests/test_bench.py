@@ -245,17 +245,20 @@ def test_sweep_n_monotone_cost():
     # never reach tol, so every restart runs exactly 16 iterations and cost
     # grows with N by construction; 50 restarts give each block 800
     # iterations. One sweep's reading is still noise-bound (a scheduler
-    # hiccup can swap two neighbouring points), so the gate reads each
-    # point's median over three timed sweeps
+    # hiccup can swap two neighbouring points, and load on a shared machine
+    # drifts between sweeps), so the gate reads each point's median over
+    # five timed sweeps that alternate ascending and descending N
     params = WFParams(max_iters=16)
     assert params.max_iters < solvers._STALL_WINDOW
     cfg = small_cfg(snr_db=30.0, trials=2,
                     solver=SolverSpec("wf_truncated", params, restarts=50))
-    sweep(cfg, n_list=[64, 128, 256])  # untimed warm-up
-    tables = [sweep(cfg, n_list=[64, 128, 256]) for _ in range(3)]
+    n_list = [64, 128, 256]
+    sweep(cfg, n_list=n_list)  # untimed warm-up
+    tables = [sweep(cfg, n_list=n_list[::1 if i % 2 == 0 else -1]) for i in range(5)]
     assert all(len(t.rows) == 3 for t in tables)
     assert all(r.error is None for t in tables for r in t.rows)
-    totals = np.median([[r.total_s for r in t.rows] for t in tables], axis=0)
+    by_n = [{r.n: r.total_s for r in t.rows} for t in tables]
+    totals = np.median([[t[n] for n in n_list] for t in by_n], axis=0)
     assert totals[0] < totals[1] < totals[2]
 
 

@@ -57,6 +57,16 @@ def test_kind_2_krbd_is_refused(tmp_path):
         load_bpr1(tmp_path / "k2.bpr1")
 
 
+def test_kind_2_krbd_entry_beyond_float32_range_is_rejected(tmp_path):
+    # the kind is refused before the payload is read, so an entry that
+    # float32 cannot hold never reaches a block as inf
+    block = np.array([[1.0, 2e39j]])
+    raw = b"BPR1" + struct.pack("<IIBI2I", 1, 2, 2, 1, 1, 2) + block.astype("<c16").tobytes()
+    (tmp_path / "k2.bpr1").write_bytes(raw)
+    with pytest.raises(BPR1Error, match="kind 2"):
+        load_bpr1(tmp_path / "k2.bpr1")
+
+
 def test_header_layout(tmp_path):
     # magic + u32 rows + u32 cols + u8 kind, little endian
     save_bpr1(tmp_path / "v.bpr1", np.array([1 + 2j]))
