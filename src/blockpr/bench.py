@@ -30,7 +30,7 @@ from .core import BlockPRInstance, KRBDMatrix, PRInstance
 from .forward import NoiseSpec, add_noise_intensity, measure, nmse
 from .pipeline import _usable_cpus, block_pr_solve, block_seed
 from .rng import complex_normal, generator, mix_seed
-from .solvers import SolverSpec, StopReason, solve_pr
+from .solvers import SolverSpec, StopReason, _is_int, solve_pr
 
 __all__ = [
     "ExperimentConfig",
@@ -91,10 +91,6 @@ def select_k(n: int, mode: Literal["empirical"] = "empirical") -> int:
     k = min(max(k, _EMPIRICAL_K_MIN), _EMPIRICAL_K_MAX)
     divisors = [d for d in range(1, n // 4 + 1) if n % d == 0]
     return min(divisors, key=lambda d: (abs(math.log(d) - math.log(k)), d))
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def _is_real(v) -> bool:

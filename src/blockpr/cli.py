@@ -77,7 +77,7 @@ def _solver_spec(value) -> SolverSpec:
     params = value.get("params")
     if params is not None:
         params = WFParams(**params) if kind == "wf_truncated" else APParams(**params)
-    return SolverSpec(kind, params=params, restarts=int(value.get("restarts", 1)))
+    return SolverSpec(kind, params=params, restarts=value.get("restarts", 1))
 
 
 def _parse_snr(s: str) -> float:
@@ -317,19 +317,20 @@ def main(argv=None) -> int:
             solver = _solver(args)
             if args.seed is not None:
                 solver = dataclasses.replace(solver, seed=args.seed)
+            out = args.output_path
         else:
             cfg = build_config(args)
+            out = cfg.output_path
             if args.command == "gen":
-                if cfg.output_path is None:
+                if out is None:
                     raise ValueError("gen requires --out DIRECTORY")
                 cfg.resolved_k()  # K is checked against n once resolved
-            else:
-                if args.command == "table1":
-                    for n in args.n_list:  # every row is checked before any runs
-                        dataclasses.replace(cfg, n=n).resolved_k()
-                out = cfg.output_path  # the report is written after the last trial
-                if out and not Path(out).parent.is_dir():
-                    raise FileNotFoundError(f"--out: no directory {Path(out).parent}")
+            elif args.command == "table1":
+                for n in args.n_list:  # every row is checked before any runs
+                    dataclasses.replace(cfg, n=n).resolved_k()
+        # gen makes its directory; the others write their file after the last solve
+        if args.command != "gen" and out and not Path(out).parent.is_dir():
+            raise FileNotFoundError(f"--out: no directory {Path(out).parent}")
     except (ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG

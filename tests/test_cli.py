@@ -164,6 +164,42 @@ def test_missing_output_directory_exits_before_the_first_trial(tmp_path, capsys,
     assert capsys.readouterr().err == f"i/o error: --out: no directory {missing}\n"
 
 
+def test_solve_missing_output_directory_exits_before_loading(tmp_path, capsys, monkeypatch):
+    import blockpr.cli
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("the instance was loaded before --out was checked")
+
+    monkeypatch.setattr(blockpr.cli, "_load_instance", no_load)
+    missing = tmp_path / "missing"
+    assert run_cli(["solve", str(tmp_path / "inst"), "--out", str(missing / "x.bpr1")]) == 3
+    assert capsys.readouterr().err == f"i/o error: --out: no directory {missing}\n"
+
+
+@pytest.mark.parametrize("solver, field", [
+    ({"restarts": 2.7}, "restarts"),
+    ({"restarts": True}, "restarts"),
+    ({"params": {"max_iters": 2.5}}, "max_iters"),
+    ({"params": {"init_power_iters": 2.5}}, "init_power_iters"),
+    ({"kind": "altproj", "params": {"max_iters": 2.5}}, "max_iters"),
+], ids=["restarts-float", "restarts-bool", "max-iters-float", "power-iters-float",
+        "ap-max-iters-float"])
+def test_non_integer_solver_count_exits_before_the_first_trial(tmp_path, capsys, monkeypatch,
+                                                               solver, field):
+    # "restarts": 2.7 ran 2 restarts and true ran 1; max_iters 2.5 ran, and
+    # init_power_iters 2.5 failed every block at solve time
+    import blockpr.bench
+
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran before the solver config was checked")
+
+    monkeypatch.setattr(blockpr.bench, "run_trial", no_trial)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"solver": solver}))
+    assert run_cli(["sweep-n", "--n-list", "64", "--trials", "1", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"invalid config: {field} must be an integer, got ")
+
+
 @pytest.mark.parametrize("argv, field", [
     (["gen", "--n", "64", "--alpha", "inf"], "alpha"),
     (["gen", "--n", "64", "--beta", "inf"], "beta"),
