@@ -16,36 +16,40 @@ index, so the result is a pure function of (instance, specs, seeds): runs
 are bitwise identical whether blocks execute sequentially or on any number
 of workers.
 
-Parallel block solves run in worker processes forked for each
-:func:`solve_blocks` call, not in threads: one WF iteration on a block is a
-few dozen numpy calls on arrays of a few hundred entries, and each call
-drops and retakes the GIL, so two threads took about twice as long for
-twice the work. Forking shares the read-only blocks copy-on-write; each
-worker sends back only its (estimate, report) pairs. The worker count is
-``min(parallelism, K, usable CPUs // BLAS threads)`` (see
-:func:`_worker_count`), so that workers times BLAS threads never exceeds
-the CPUs: two forked workers each running a 2-thread OpenBLAS were ~45x
-slower than one. BLAS threads are what OpenBLAS, numpy's BLAS, reads from
-``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``, and
-one per CPU when none is set, in which case the blocks run in-process, one
-after another. OpenBLAS reads these variables once, when numpy loads it,
-so this module reads them once too, when it is imported; setting them
-later changes neither. Forking costs ~15-27 ms per call (two workers
-forked from a 210 MB process on a 2-vCPU VM), more than a second worker
-saves on a small problem, so blocks holding fewer than
-``_POOL_MIN_ENTRIES`` matrix entries in all are solved in-process too.
-Forking a process whose other threads hold locks can deadlock the child,
-so do not call with ``parallelism > 1`` while other threads of the
+Parallel block solves run in processes, not threads: one WF iteration on
+a block is a few dozen numpy calls on arrays of a few hundred entries, and
+each call drops and retakes the GIL, so two threads took about twice as
+long for twice the work. With P processes, :func:`solve_blocks` forks
+P - 1 children and solves a share of the blocks itself: process j takes
+blocks j, j + P, j + 2P, ... (a static interleave; a shared claim counter
+measured no faster). Forking shares the read-only blocks copy-on-write;
+each child sends back its (estimate, report) pairs once, pickled, when
+its share is done. P is ``min(parallelism, K, usable CPUs // BLAS
+threads)`` (see :func:`_worker_count`), so that processes times BLAS
+threads never exceeds the CPUs: two forked workers each running a
+2-thread OpenBLAS were ~45x slower than one. BLAS threads are what
+OpenBLAS, numpy's BLAS, reads from ``OPENBLAS_NUM_THREADS``,
+``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``, and one per CPU when none is
+set, in which case the blocks run in this process, one after another.
+OpenBLAS reads these variables once, when numpy loads it, so this module
+reads them once too, when it is imported; setting them later changes
+neither. Forking, ending and reaping one child costs about 3 ms (from a
+200 MB process on a 2-vCPU VM), and each process runs its first block
+slower while they run side by side, so blocks holding fewer than
+``_POOL_MIN_ENTRIES`` matrix entries in all are solved in this process
+alone. Forking a process whose other threads hold locks can deadlock the
+child, so do not call with ``parallelism > 1`` while other threads of the
 process are running.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import contextlib
 import os
+import pickle
+import signal
 import time
 from collections.abc import Mapping
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -75,13 +79,20 @@ _LANE_TUNE = 1
 # so does this module, at import (importing it loads numpy)
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 _BLAS_ENV = {var: os.environ[var] for var in _BLAS_THREAD_VARS if var in os.environ}
-# blocks with fewer matrix entries than this in all are solved in-process:
-# with OpenBLAS pinned to 1 thread on 2 CPUs, two workers took 1.0-1.9x as
-# long as one process for WF and AP blocking steps at N = 256 (K = 4, up to
-# 2^18 entries), 0.65-1.27x at N = 512 (3 * 2^17), and 0.49-0.69x at
-# N >= 1024 (3 * 2^18 and more)
+# blocks with fewer matrix entries than this in all are solved in-process.
+# Blocking-step time of this process plus one forked child over this process
+# alone, OpenBLAS pinned to 1 thread on 2 CPUs, from a 200 MB process, SNR 30,
+# default alpha and auto-K; two runs of 10 pairs on 10 instances each, as
+# median ratio (range over both runs) and pairs in which two processes won:
+#   N = 256 (3 * 2^15 entries): WF 1.00 / 1.23 (0.82-1.53), 6 and 1 of 10;
+#                               AP 1.32 / 1.29 (1.05-2.82), 0 and 0
+#   N = 512 (3 * 2^17):         WF 0.88 / 0.99 (0.72-1.21), 7 and 6;
+#                               AP 0.87 / 0.85 (0.76-1.09), 9 and 8
+#   N = 1024 (3 * 2^18):        WF 0.79 / 0.70 (0.63-1.13), 9 and 9;
+#                               AP 0.75 / 0.78 (0.62-0.92), 10 and 10
+# Two processes do not win 9 of 10 pairs at N = 512, so it stays in-process
 _POOL_MIN_ENTRIES = 2**19
-_CAN_FORK = "fork" in multiprocessing.get_all_start_methods()
+_CAN_FORK = hasattr(os, "fork")
 
 
 def block_seed(master_seed: int, block_index: int) -> int:
@@ -160,7 +171,8 @@ def _worker_count(
     environ: Mapping[str, str],
     can_fork: bool,
 ) -> int:
-    """Worker processes for a blocking step: min(parallelism, K, cpus // BLAS threads).
+    """Processes for a blocking step, this one and its forked children:
+    min(parallelism, K, cpus // BLAS threads).
 
     1 (solve in-process) when the platform cannot fork or the K blocks hold
     fewer than ``_POOL_MIN_ENTRIES`` matrix entries in all.
@@ -176,18 +188,39 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# the blocking step's jobs; set only in worker processes, by the pool's
-# initializer, so tasks need carry nothing but a block index
-_worker_jobs: list = []
+def _solve_share(jobs, first: int, step: int) -> list[tuple[int, object]]:
+    """(index, (estimate, report) or the exception raised) of blocks first, first + step, ..."""
+    out = []
+    for i in range(first, len(jobs), step):
+        try:
+            out.append((i, _solve_one_block(*jobs[i])))
+        except Exception as exc:  # noqa: BLE001 - reported per block
+            out.append((i, exc))
+    return out
 
 
-def _set_worker_jobs(jobs: list) -> None:
-    global _worker_jobs
-    _worker_jobs = jobs
+def _child_solves_share(jobs, first: int, step: int, read_fd: int, write_fd: int) -> None:
+    """Body of a forked child: solve its share, write it to ``write_fd`` pickled, exit.
 
-
-def _solve_worker_job(index: int):
-    return _solve_one_block(*_worker_jobs[index])
+    It leaves only through ``os._exit``, with status 0 once the whole share
+    is written. An exception that does not survive a pickle round trip goes
+    back as a RuntimeError holding its repr.
+    """
+    status = 1
+    try:
+        os.close(read_fd)
+        share = _solve_share(jobs, first, step)
+        for n, (i, value) in enumerate(share):
+            if isinstance(value, Exception):
+                try:
+                    pickle.loads(pickle.dumps(value))
+                except Exception:  # noqa: BLE001 - any pickling failure
+                    share[n] = (i, RuntimeError(repr(value)))
+        with open(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps(share, protocol=pickle.HIGHEST_PROTOCOL))
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def solve_blocks(
@@ -198,18 +231,23 @@ def solve_blocks(
     """Solve the K independent per-block sub-problems.
 
     Block i runs the base solver on (H_i, y_i) with seed
-    ``block_seed(spec.seed, i)``. Up to ``parallelism`` blocks are in
-    flight at once, each in its own worker process forked for this call;
-    the worker count is ``min(parallelism, K, usable CPUs // BLAS
-    threads)``, with BLAS threads as the environment gave them when this
-    module was imported. With one worker, and for blocks holding fewer
-    than ``_POOL_MIN_ENTRIES`` matrix entries in all, the blocks run in
-    this process: forking costs ~15-27 ms per call. Do not call with
+    ``block_seed(spec.seed, i)``. The blocks are split over P processes,
+    P = ``min(parallelism, K, usable CPUs // BLAS threads)``, with BLAS
+    threads as the environment gave them when this module was imported:
+    this process and P - 1 children forked for this call, process j
+    solving blocks j, j + P, j + 2P, ... Each child sends its (estimate,
+    report) pairs back once, when its share is done. With P = 1, and for
+    blocks holding fewer than ``_POOL_MIN_ENTRIES`` matrix entries in all,
+    the blocks run in this process alone: a fork costs about 3 ms, and
+    each process runs its first block slower. Do not call with
     ``parallelism > 1`` while other threads of this process are running.
     Results are keyed by block index, so the output does not depend on
     scheduling. If any block fails, all remaining blocks still run and a
     :class:`BlockSolveError` carrying the completed results is raised; a
-    worker process that dies fails every block it had not returned.
+    child that dies fails every block it had not returned with a
+    ChildProcessError naming its exit status. If this process's own share
+    raises past the per-block handling (KeyboardInterrupt, say), the
+    children are killed and reaped before the exception propagates.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
@@ -234,19 +272,43 @@ def solve_blocks(
             except Exception as exc:  # noqa: BLE001 - reported per block
                 failures[i] = exc
     else:
-        # fork hands the jobs to the workers unpickled
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_set_worker_jobs,
-            initargs=(jobs,),
-        ) as pool:
-            futures = {i: pool.submit(_solve_worker_job, i) for i in range(len(jobs))}
-        for i, fut in futures.items():
-            try:
-                results[i] = fut.result()
-            except Exception as exc:  # noqa: BLE001 - incl. BrokenProcessPool
-                failures[i] = exc
+        # (child index, pid, read end of its pipe) for every child not yet reaped
+        children: list[tuple[int, int, object]] = []
+        try:
+            for j in range(1, workers):
+                read_fd, write_fd = os.pipe()
+                pid = os.fork()
+                if pid == 0:  # fork hands the child the jobs unpickled
+                    _child_solves_share(jobs, j, workers, read_fd, write_fd)
+                os.close(write_fd)
+                children.append((j, pid, open(read_fd, "rb")))
+            share = _solve_share(jobs, 0, workers)
+            while children:
+                j, pid, pipe = children[0]
+                data = pipe.read()
+                pipe.close()
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                children.pop(0)
+                if code == 0:
+                    share.extend(pickle.loads(data))
+                else:
+                    lost = ChildProcessError(
+                        f"block solve process {pid} ended with exit status {code} "
+                        "before returning this block"
+                    )
+                    share.extend((i, lost) for i in range(j, len(jobs), workers))
+        finally:
+            for _, pid, pipe in children:
+                pipe.close()
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+                with contextlib.suppress(ChildProcessError):
+                    os.waitpid(pid, 0)
+        for i, value in share:
+            if isinstance(value, Exception):
+                failures[i] = value
+            else:
+                results[i] = value
     if failures:
         raise BlockSolveError(failures, results)
     return [results[i] for i in range(part.n_blocks)]
@@ -311,11 +373,12 @@ def block_pr_solve(
 
     ``parallelism`` bounds the number of concurrent block solves (default:
     K, which the CPU count caps); it affects wall time only, never the
-    result. The blocks run in forked worker processes when
-    :func:`solve_blocks` gets more than one worker (see there: the count is
+    result. When :func:`solve_blocks` gets P > 1 processes (see there: P is
     ``min(parallelism, K, usable CPUs // BLAS threads)``, and small
-    problems stay in-process because forking costs ~15-27 ms per call), so
-    do not call with ``parallelism > 1`` while other threads are running.
+    problems stay in this process because a fork costs about 3 ms), this
+    process solves every P-th block and P - 1 forked children solve the
+    rest, so do not call with ``parallelism > 1`` while other threads are
+    running.
     With K = 1 the tuning step is vacuous and is skipped (d = [1]), making the
     pipeline bitwise identical to the base solver on the dense problem.
     The tuning step always runs the unit-modulus tuner; ``tune_spec`` only

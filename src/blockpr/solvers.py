@@ -205,6 +205,14 @@ def _require_counts(obj, *names: str) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _require_reals(obj, *names: str) -> None:
+    """Raise ValueError naming the first of ``obj``'s fields ``names`` that is not a real number."""
+    for name in names:
+        value = getattr(obj, name)
+        if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 class RankDeficient(ValueError):
     """Operator is rank-deficient within the factorization tolerance."""
 
@@ -247,6 +255,7 @@ class WFParams:
 
     def __post_init__(self):
         _require_counts(self, "max_iters", "init_power_iters")
+        _require_reals(self, "step_size", "trunc_y", "trunc_lb", "trunc_ub", "trunc_h", "tol")
         for name in ("max_iters", "step_size", "init_power_iters", "trunc_y",
                      "trunc_lb", "trunc_ub", "trunc_h", "tol"):
             if getattr(self, name) <= 0:
@@ -272,6 +281,7 @@ class APParams:
 
     def __post_init__(self):
         _require_counts(self, "max_iters")
+        _require_reals(self, "tol")
         if self.max_iters <= 0 or self.tol <= 0:
             raise ValueError("max_iters and tol must be positive")
         if self.init != "spectral":

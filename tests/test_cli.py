@@ -200,6 +200,27 @@ def test_non_integer_solver_count_exits_before_the_first_trial(tmp_path, capsys,
     assert capsys.readouterr().err.startswith(f"invalid config: {field} must be an integer, got ")
 
 
+@pytest.mark.parametrize("solver, field", [
+    ({"params": {"step_size": True, "tol": True}}, "step_size"),
+    ({"params": {"tol": True}}, "tol"),
+    ({"params": {"trunc_h": "5"}}, "trunc_h"),
+    ({"kind": "altproj", "params": {"tol": True}}, "tol"),
+], ids=["wf-step-bool", "wf-tol-bool", "wf-trunc-string", "ap-tol-bool"])
+def test_non_real_solver_float_exits_before_the_first_trial(tmp_path, capsys, monkeypatch,
+                                                            solver, field):
+    # "step_size": true and "tol": true ran with step 1 and tol 1 and exited 0
+    import blockpr.bench
+
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran before the solver config was checked")
+
+    monkeypatch.setattr(blockpr.bench, "run_trial", no_trial)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"solver": solver}))
+    assert run_cli(["sweep-n", "--n-list", "64", "--trials", "1", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"invalid config: {field} must be a real number, got ")
+
+
 @pytest.mark.parametrize("argv, field", [
     (["gen", "--n", "64", "--alpha", "inf"], "alpha"),
     (["gen", "--n", "64", "--beta", "inf"], "beta"),

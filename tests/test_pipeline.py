@@ -1,7 +1,6 @@
 import os
 import signal
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+import time
 
 import numpy as np
 import pytest
@@ -43,38 +42,45 @@ def _zero_block(instance, index):
 
 
 @pytest.fixture
-def pool_starts(monkeypatch):
-    """Yields the worker count of each pool solve_blocks starts.
+def forked(monkeypatch):
+    """Yields the pid of each child process solve_blocks forks.
 
     A test that has not finished after 60 s fails instead of hanging.
     """
-    started = []
+    children = []
+    fork = os.fork
 
-    class CountingPool(ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            started.append(kwargs["max_workers"])
-            super().__init__(*args, **kwargs)
+    def counting_fork():
+        pid = fork()
+        if pid:
+            children.append(pid)
+        return pid
 
     def timed_out(signum, frame):
-        raise TimeoutError("solve_blocks with worker processes did not return in 60 s")
+        raise TimeoutError("solve_blocks with forked children did not return in 60 s")
 
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(os, "fork", counting_fork)
     previous = signal.signal(signal.SIGALRM, timed_out)
     signal.alarm(60)
     try:
-        yield started
+        yield children
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture
-def forced_pool(pool_starts, monkeypatch):
-    """Make solve_blocks fork two workers, even for small blocks."""
+def forced_split(forked, monkeypatch):
+    """Make solve_blocks split over two processes, even for small blocks."""
     monkeypatch.setattr(pipeline, "_BLAS_ENV", {"OPENBLAS_NUM_THREADS": "1"})
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(pipeline, "_POOL_MIN_ENTRIES", 0)
-    return pool_starts
+    return forked
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # ---------------------------------------------------------------- solve_blocks
@@ -111,27 +117,27 @@ def test_solve_blocks_fault_isolation():
     assert set(ei.value.completed) == {0, 2, 3}
 
 
-def test_solve_blocks_parallel_equals_sequential(forced_pool):
+def test_solve_blocks_parallel_equals_sequential(forced_split):
     instance, _ = make_block_instance(88, k=4, n_i=16)
     spec = SolverSpec("wf_truncated", seed=11)
     seq = solve_blocks(instance, spec, parallelism=1)
-    assert forced_pool == []
+    assert forced_split == []
     par = solve_blocks(instance, spec, parallelism=4)
-    assert forced_pool == [2]
+    assert len(forced_split) == 1
     for (z1, r1), (z2, r2) in zip(seq, par):
         assert z1.tobytes() == z2.tobytes()
         assert r1.iterations == r2.iterations and r1.stop_reason == r2.stop_reason
 
 
 @pytest.mark.parametrize("snr_db", [30.0, np.inf])
-def test_complex64_blocks_solve_alike_in_forked_workers(forced_pool, snr_db):
+def test_complex64_blocks_solve_alike_in_forked_workers(forced_split, snr_db):
     # noiseless blocks take WF's complex128 finish, inside the workers too
     instance, _ = make_block_instance(90, k=4, n_i=16, snr_db=snr_db)
     assert {b.dtype for b in instance.base.operator.blocks} == {np.dtype(np.complex64)}
     spec = SolverSpec("wf_truncated", seed=13)
     x_seq, seq = block_pr_solve(instance, spec, parallelism=1)
     x_par, par = block_pr_solve(instance, spec, parallelism=2)
-    assert forced_pool == [2]
+    assert len(forced_split) == 1
     assert x_seq.dtype == np.complex128 and x_seq.tobytes() == x_par.tobytes()
     for z1, z2 in zip(seq.block_estimates, par.block_estimates):
         assert z1.tobytes() == z2.tobytes()
@@ -139,10 +145,10 @@ def test_complex64_blocks_solve_alike_in_forked_workers(forced_pool, snr_db):
         assert {r.stop_reason for r in par.per_block_reports} == {"tol"}
 
 
-def test_report_phase_times_come_back_from_workers(forced_pool):
+def test_report_phase_times_come_back_from_workers(forced_split):
     instance, _ = make_block_instance(89, k=4, n_i=16)
     solved = solve_blocks(instance, SolverSpec("alt_proj", seed=12), parallelism=2)
-    assert forced_pool == [2]
+    assert len(forced_split) == 1
     for _, rep in solved:
         assert rep.init_s > 0 and rep.iter_s > 0 and rep.factor_s > 0
         assert rep.init_s + rep.iter_s + rep.factor_s <= rep.wall_time_seconds
@@ -212,7 +218,7 @@ def test_worker_count_never_exceeds_blocks_or_cpus(parallelism, k, entries, cpus
         assert n * (blas or cpus) <= cpus
 
 
-def test_blas_threads_are_read_at_import_not_per_call(pool_starts, monkeypatch):
+def test_blas_threads_are_read_at_import_not_per_call(forked, monkeypatch):
     # OpenBLAS fixed its thread count when numpy loaded; a later change
     # to the environment must not turn the pool on
     monkeypatch.setattr(pipeline, "_BLAS_ENV", {})
@@ -221,40 +227,87 @@ def test_blas_threads_are_read_at_import_not_per_call(pool_starts, monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     instance, _ = make_block_instance(79, k=2, n_i=8)
     solve_blocks(instance, SolverSpec("wf_truncated", seed=1), parallelism=2)
-    assert pool_starts == []
+    assert forked == []
 
 
-def test_worker_processes_isolate_block_faults(forced_pool):
+def test_worker_processes_isolate_block_faults(forced_split):
     instance, _ = make_block_instance(77, k=4, n_i=8)
     with pytest.raises(BlockSolveError) as ei:
         solve_blocks(_zero_block(instance, 1), SolverSpec("wf_truncated", seed=1), parallelism=2)
-    assert forced_pool == [2]
+    assert len(forced_split) == 1
     assert set(ei.value.failures) == {1}
     assert set(ei.value.completed) == {0, 2, 3}
     z, _ = ei.value.completed[2]
     assert z.shape == (8,)
 
 
-def test_dead_worker_raises_block_solve_error(forced_pool, monkeypatch):
+def test_dead_worker_raises_block_solve_error(forced_split, monkeypatch):
     parent = os.getpid()
     solve_one = pipeline._solve_one_block
 
-    def dies_on_block_2(*job):
-        if job[-1] == 2:
-            assert os.getpid() != parent, "block 2 ran in the test process"
+    def dies_on_block_1(*job):
+        if job[-1] == 1:
+            assert os.getpid() != parent, "block 1 ran in the test process"
             os._exit(3)
         return solve_one(*job)
 
-    monkeypatch.setattr(pipeline, "_solve_one_block", dies_on_block_2)
+    monkeypatch.setattr(pipeline, "_solve_one_block", dies_on_block_1)
     instance, _ = make_block_instance(78, k=4, n_i=8)
     with pytest.raises(BlockSolveError) as ei:
         solve_blocks(instance, SolverSpec("wf_truncated", seed=1), parallelism=2)
-    assert forced_pool == [2]
+    assert len(forced_split) == 1
     err = ei.value
-    assert isinstance(err.failures[2], BrokenProcessPool)
-    assert "block 2:" in str(err)
+    # the child's share is blocks 1 and 3; it returned neither
+    assert set(err.failures) == {1, 3}
+    for i in (1, 3):
+        assert isinstance(err.failures[i], ChildProcessError)
+        assert "exit status 3" in str(err.failures[i])
+    assert "block 1:" in str(err) and "block 3:" in str(err)
     assert set(err.failures) | set(err.completed) == {0, 1, 2, 3}
     assert not set(err.failures) & set(err.completed)
+    _no_child_left()
+
+
+def test_interrupt_in_the_parent_kills_and_reaps_the_child(forced_split, monkeypatch):
+    parent = os.getpid()
+    solve_one = pipeline._solve_one_block
+
+    def interrupted(*job):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(90)  # still running when the parent's share raises, and past the alarm
+        return solve_one(*job)
+
+    monkeypatch.setattr(pipeline, "_solve_one_block", interrupted)
+    instance, _ = make_block_instance(80, k=4, n_i=8)
+    with pytest.raises(KeyboardInterrupt):
+        solve_blocks(instance, SolverSpec("wf_truncated", seed=1), parallelism=2)
+    assert len(forced_split) == 1
+    _no_child_left()
+
+
+def test_unpicklable_block_exception_comes_back_as_a_failure(forced_split, monkeypatch):
+    class Unpicklable(Exception):  # a local class cannot be pickled by reference
+        pass
+
+    solve_one = pipeline._solve_one_block
+
+    def raises_on_block_1(*job):
+        if job[-1] == 1:
+            raise Unpicklable("block 1 failed")
+        return solve_one(*job)
+
+    monkeypatch.setattr(pipeline, "_solve_one_block", raises_on_block_1)
+    instance, _ = make_block_instance(81, k=4, n_i=8)
+    with pytest.raises(BlockSolveError) as ei:
+        solve_blocks(instance, SolverSpec("wf_truncated", seed=1), parallelism=2)
+    assert len(forced_split) == 1
+    err = ei.value
+    assert set(err.failures) == {1}
+    assert type(err.failures[1]) is RuntimeError
+    assert "Unpicklable('block 1 failed')" in str(err.failures[1])
+    assert set(err.completed) == {0, 2, 3}
+    _no_child_left()
 
 
 # ---------------------------------------------------------------- tuning matrix

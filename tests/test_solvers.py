@@ -786,6 +786,15 @@ def test_solver_spec_validation():
             with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
                 make(value)
         make(np.int64(2))
+    # float fields are real numbers: a bool is refused by name, not read as 1
+    for make, field in ([(lambda v, f=f: WFParams(**{f: v}), f) for f in
+                         ("step_size", "trunc_y", "trunc_lb", "trunc_ub", "trunc_h", "tol")]
+                        + [(lambda v: APParams(tol=v), "tol")]):
+        for value in (True, "0.1", 1j, None):
+            with pytest.raises(ValueError, match=f"^{field} must be a real number, got "):
+                make(value)
+    assert WFParams(step_size=np.float32(0.3), tol=1).step_size == np.float32(0.3)
+    assert APParams(tol=np.float64(1e-9)).tol == 1e-9
 
 
 def test_solve_pr_rejects_the_tuner():
