@@ -24,10 +24,13 @@ P - 1 children and solves a share of the blocks itself: process j takes
 blocks j, j + P, j + 2P, ... (a static interleave; a shared claim counter
 measured no faster). Forking shares the read-only blocks copy-on-write;
 each child sends back its (estimate, report) pairs once, pickled, when
-its share is done. P is ``min(parallelism, K, usable CPUs // BLAS
-threads)`` (see :func:`_worker_count`), so that processes times BLAS
-threads never exceeds the CPUs: two forked workers each running a
-2-thread OpenBLAS were ~45x slower than one. BLAS threads are what
+its share is done. A ProcessPoolExecutor running the children's shares
+beside a working parent took about 10 ms more per N = 2048 blocking step
+(0.080 against 0.070 s median solve on the benchmark, 2 vCPUs). P is
+``min(parallelism, K, usable CPUs // BLAS threads)`` (see
+:func:`_worker_count`), so that processes times BLAS threads never
+exceeds the CPUs: two forked workers each running a 2-thread OpenBLAS
+were ~45x slower than one. BLAS threads are what
 OpenBLAS, numpy's BLAS, reads from ``OPENBLAS_NUM_THREADS``,
 ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``, and one per CPU when none is
 set, in which case the blocks run in this process, one after another.
@@ -199,15 +202,17 @@ def _solve_share(jobs, first: int, step: int) -> list[tuple[int, object]]:
     return out
 
 
-def _child_solves_share(jobs, first: int, step: int, read_fd: int, write_fd: int) -> None:
+def _child_solves_share(jobs, first: int, step: int, read_fd: int, write_fd: int, mask) -> None:
     """Body of a forked child: solve its share, write it to ``write_fd`` pickled, exit.
 
-    It leaves only through ``os._exit``, with status 0 once the whole share
-    is written. An exception that does not survive a pickle round trip goes
-    back as a RuntimeError holding its repr.
+    It restores the signal mask ``mask`` first, and leaves only through
+    ``os._exit``, with status 0 once the whole share is written. An
+    exception that does not survive a pickle round trip goes back as a
+    RuntimeError holding its repr.
     """
     status = 1
     try:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         os.close(read_fd)
         share = _solve_share(jobs, first, step)
         for n, (i, value) in enumerate(share):
@@ -221,6 +226,21 @@ def _child_solves_share(jobs, first: int, step: int, read_fd: int, write_fd: int
         status = 0
     finally:
         os._exit(status)
+
+
+def _fork_child(jobs, first: int, step: int, mask) -> tuple[int, int]:
+    """(pid, read end of its pipe) of a child forked to solve blocks first, first + step, ..."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+        if pid == 0:  # fork hands the child the jobs unpickled
+            _child_solves_share(jobs, first, step, read_fd, write_fd, mask)
+    except BaseException:
+        os.close(read_fd)
+        raise
+    finally:
+        os.close(write_fd)
+    return pid, read_fd
 
 
 def solve_blocks(
@@ -259,56 +279,45 @@ def solve_blocks(
         for i, rs in enumerate(part.row_slices())
     ]
 
-    results: dict[int, tuple] = {}
-    failures: dict[int, Exception] = {}
     entries = sum(block.size for block in op.blocks)
     workers = _worker_count(
         parallelism, len(jobs), entries, _usable_cpus(), _BLAS_ENV, _CAN_FORK
     )
-    if workers == 1:
-        for i, job in enumerate(jobs):
+    # (child index, pid, read end of its pipe) for every child not yet reaped
+    children: list[tuple[int, int, int]] = []
+    try:
+        for j in range(1, workers):
+            # signals wait until the child is recorded, so the finally reaps it
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
             try:
-                results[i] = _solve_one_block(*job)
-            except Exception as exc:  # noqa: BLE001 - reported per block
-                failures[i] = exc
-    else:
-        # (child index, pid, read end of its pipe) for every child not yet reaped
-        children: list[tuple[int, int, object]] = []
-        try:
-            for j in range(1, workers):
-                read_fd, write_fd = os.pipe()
-                pid = os.fork()
-                if pid == 0:  # fork hands the child the jobs unpickled
-                    _child_solves_share(jobs, j, workers, read_fd, write_fd)
-                os.close(write_fd)
-                children.append((j, pid, open(read_fd, "rb")))
-            share = _solve_share(jobs, 0, workers)
-            while children:
-                j, pid, pipe = children[0]
+                children.append((j, *_fork_child(jobs, j, workers, mask)))
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        solved = _solve_share(jobs, 0, workers)
+        while children:
+            j, pid, read_fd = children[0]
+            with open(read_fd, "rb", closefd=False) as pipe:
                 data = pipe.read()
-                pipe.close()
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                children.pop(0)
-                if code == 0:
-                    share.extend(pickle.loads(data))
-                else:
-                    lost = ChildProcessError(
-                        f"block solve process {pid} ended with exit status {code} "
-                        "before returning this block"
-                    )
-                    share.extend((i, lost) for i in range(j, len(jobs), workers))
-        finally:
-            for _, pid, pipe in children:
-                pipe.close()
-                with contextlib.suppress(ProcessLookupError):
-                    os.kill(pid, signal.SIGKILL)
-                with contextlib.suppress(ChildProcessError):
-                    os.waitpid(pid, 0)
-        for i, value in share:
-            if isinstance(value, Exception):
-                failures[i] = value
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            os.close(read_fd)
+            if code == 0:
+                solved.extend(pickle.loads(data))
             else:
-                results[i] = value
+                lost = ChildProcessError(
+                    f"block solve process {pid} ended with exit status {code} "
+                    "before returning this block"
+                )
+                solved.extend((i, lost) for i in range(j, len(jobs), workers))
+    finally:
+        for _, pid, read_fd in children:
+            os.close(read_fd)
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+    results = {i: value for i, value in solved if not isinstance(value, Exception)}
+    failures = {i: value for i, value in solved if isinstance(value, Exception)}
     if failures:
         raise BlockSolveError(failures, results)
     return [results[i] for i in range(part.n_blocks)]

@@ -205,12 +205,15 @@ def _require_counts(obj, *names: str) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _require_reals(obj, *names: str) -> None:
-    """Raise ValueError naming the first of ``obj``'s fields ``names`` that is not a real number."""
+def _require_positive(obj, *names: str) -> None:
+    """Raise ValueError naming the first of ``obj``'s fields ``names`` that is not a real > 0.
+
+    A bool is not a real number here, and NaN is not > 0.
+    """
     for name in names:
         value = getattr(obj, name)
-        if not isinstance(value, numbers.Real) or isinstance(value, bool):
-            raise ValueError(f"{name} must be a real number, got {value!r}")
+        if not isinstance(value, numbers.Real) or isinstance(value, bool) or not value > 0:
+            raise ValueError(f"{name} must be a positive number, got {value!r}")
 
 
 class RankDeficient(ValueError):
@@ -255,11 +258,8 @@ class WFParams:
 
     def __post_init__(self):
         _require_counts(self, "max_iters", "init_power_iters")
-        _require_reals(self, "step_size", "trunc_y", "trunc_lb", "trunc_ub", "trunc_h", "tol")
-        for name in ("max_iters", "step_size", "init_power_iters", "trunc_y",
-                     "trunc_lb", "trunc_ub", "trunc_h", "tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        _require_positive(self, "max_iters", "step_size", "init_power_iters", "trunc_y",
+                          "trunc_lb", "trunc_ub", "trunc_h", "tol")
         if self.trunc_lb >= self.trunc_ub:
             raise ValueError("trunc_lb must be < trunc_ub")
         if self.loss not in ("poisson", "gaussian"):
@@ -281,9 +281,7 @@ class APParams:
 
     def __post_init__(self):
         _require_counts(self, "max_iters")
-        _require_reals(self, "tol")
-        if self.max_iters <= 0 or self.tol <= 0:
-            raise ValueError("max_iters and tol must be positive")
+        _require_positive(self, "max_iters", "tol")
         if self.init != "spectral":
             raise ValueError(f"unknown init {self.init!r}; altproj_solve starts spectrally")
 

@@ -205,10 +205,14 @@ def test_non_integer_solver_count_exits_before_the_first_trial(tmp_path, capsys,
     ({"params": {"tol": True}}, "tol"),
     ({"params": {"trunc_h": "5"}}, "trunc_h"),
     ({"kind": "altproj", "params": {"tol": True}}, "tol"),
-], ids=["wf-step-bool", "wf-tol-bool", "wf-trunc-string", "ap-tol-bool"])
+    ({"params": {"step_size": float("nan")}}, "step_size"),
+    ({"kind": "altproj", "params": {"tol": float("nan")}}, "tol"),
+], ids=["wf-step-bool", "wf-tol-bool", "wf-trunc-string", "ap-tol-bool", "wf-step-nan",
+        "ap-tol-nan"])
 def test_non_real_solver_float_exits_before_the_first_trial(tmp_path, capsys, monkeypatch,
                                                             solver, field):
-    # "step_size": true and "tol": true ran with step 1 and tol 1 and exited 0
+    # "step_size": true and "tol": true ran with step 1 and tol 1 and exited 0;
+    # "step_size": NaN (json reads it) failed every block and exited 1
     import blockpr.bench
 
     def no_trial(*args, **kwargs):
@@ -218,7 +222,8 @@ def test_non_real_solver_float_exits_before_the_first_trial(tmp_path, capsys, mo
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"solver": solver}))
     assert run_cli(["sweep-n", "--n-list", "64", "--trials", "1", "--config", str(cfg)]) == 2
-    assert capsys.readouterr().err.startswith(f"invalid config: {field} must be a real number, got ")
+    assert capsys.readouterr().err.startswith(
+        f"invalid config: {field} must be a positive number, got ")
 
 
 @pytest.mark.parametrize("argv, field", [

@@ -1,3 +1,4 @@
+import errno
 import os
 import signal
 import time
@@ -308,6 +309,38 @@ def test_unpicklable_block_exception_comes_back_as_a_failure(forced_split, monke
     assert "Unpicklable('block 1 failed')" in str(err.failures[1])
     assert set(err.completed) == {0, 2, 3}
     _no_child_left()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds from /proc")
+def test_failed_fork_closes_the_pipe(forced_split, monkeypatch):
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, "fork refused")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    instance, _ = make_block_instance(82, k=4, n_i=8)
+    fds = set(os.listdir("/proc/self/fd"))
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, [])
+    with pytest.raises(BlockingIOError, match="fork refused"):
+        solve_blocks(instance, SolverSpec("wf_truncated", seed=1), parallelism=2)
+    assert set(os.listdir("/proc/self/fd")) == fds
+    assert signal.pthread_sigmask(signal.SIG_BLOCK, []) == mask
+
+
+def test_signal_mask_is_restored_in_parent_and_child(forced_split, monkeypatch):
+    # signals are held off from the fork until the child is recorded
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, [])
+    solve_one = pipeline._solve_one_block
+
+    def checks_mask(*job):
+        if signal.pthread_sigmask(signal.SIG_BLOCK, []) != mask:
+            raise RuntimeError(f"block {job[-1]} ran with signals blocked")
+        return solve_one(*job)
+
+    monkeypatch.setattr(pipeline, "_solve_one_block", checks_mask)
+    instance, _ = make_block_instance(83, k=4, n_i=8)
+    solve_blocks(instance, SolverSpec("wf_truncated", seed=1), parallelism=2)
+    assert len(forced_split) == 1
+    assert signal.pthread_sigmask(signal.SIG_BLOCK, []) == mask
 
 
 # ---------------------------------------------------------------- tuning matrix

@@ -786,13 +786,19 @@ def test_solver_spec_validation():
             with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
                 make(value)
         make(np.int64(2))
-    # float fields are real numbers: a bool is refused by name, not read as 1
+    # float fields are positive reals: a bool is refused by name, not read as 1,
+    # and NaN, which passed a "<= 0" check, is refused too
     for make, field in ([(lambda v, f=f: WFParams(**{f: v}), f) for f in
                          ("step_size", "trunc_y", "trunc_lb", "trunc_ub", "trunc_h", "tol")]
                         + [(lambda v: APParams(tol=v), "tol")]):
-        for value in (True, "0.1", 1j, None):
-            with pytest.raises(ValueError, match=f"^{field} must be a real number, got "):
+        for value in (True, "0.1", 1j, None, float("nan"), np.float32("nan"), 0.0, -1):
+            with pytest.raises(ValueError, match=f"^{field} must be a positive number, got "):
                 make(value)
+    for make, field in ((lambda v: WFParams(max_iters=v), "max_iters"),
+                        (lambda v: WFParams(init_power_iters=v), "init_power_iters"),
+                        (lambda v: APParams(max_iters=v), "max_iters")):
+        with pytest.raises(ValueError, match=f"^{field} must be a positive number, got 0$"):
+            make(0)
     assert WFParams(step_size=np.float32(0.3), tol=1).step_size == np.float32(0.3)
     assert APParams(tol=np.float64(1e-9)).tol == 1e-9
 
