@@ -10,14 +10,14 @@ Three solvers share one calling convention (measurements in, estimate and
   O'Donoghue & Candes 2015); the gaussian loss takes plain gradient steps.
 * :func:`altproj_solve` -- alternating projections on the magnitudes, the
   square roots of the intensity measurements, alternating between the data
-  modulus constraint and the operator range. The operator is factored
-  once, H = Q R, by Cholesky QR (by Householder QR when H is
+  modulus constraint and the operator range. The Gram matrix G = H^H H is
+  factored once, G = R^H R, by Cholesky (R by Householder QR when H is
   ill-conditioned; see :class:`LeastSquaresOperator`), and the iteration
-  runs in the coordinates of the orthonormal basis Q, so each step reads Q
-  alone and the triangular solve is made once per restart.
+  runs on z itself, z <- G^-1 H^H (a * phase(H z)), with G^-1 kept as one
+  n x n matrix and no copy of H.
 * :func:`unit_modulus_tune` -- alternating projections specialized to
   unit-modulus unknowns (the per-block phase factors), through the same
-  QR factorization, renormalizing each entry to the unit circle after
+  Gram factorization, renormalizing each entry to the unit circle after
   every update.
 
 Every solver is a pure function of (problem, params, seed): restarts use
@@ -37,14 +37,14 @@ into the residual rather than mapping its phase to 1. The spectral start
 ends its power iteration once the unit iterate stops moving, and the phase
 tuner ends its restart loop once a restart's final residual agrees with the
 best before it. The report also splits the wall time into starting points,
-iterations and QR factorization.
+iterations and the Gram factorization.
 
 The solvers run on dense operators only: the pipeline hands them one
 diagonal block at a time, and a :class:`~blockpr.core.KRBDMatrix` raises
 ``TypeError``.
 
 Precision follows the operator. The spectral start, the WF iteration, the
-QR factor and the alternating-projections iteration compute in the
+Gram factor and the alternating-projections iteration compute in the
 operator's dtype, with float32 real vectors for a complex64 block (the
 K-RBD blocks are complex64), since a product of a complex64 matrix with a
 complex128 vector would cast the whole matrix. A complex64 block too
@@ -156,14 +156,16 @@ _WF_MOMENTUM = 0.6
 # the phase tuner's restart loop ends once a restart's final residual agrees
 # with the best so far to this relative tolerance; restarts stays the cap
 _TUNE_AGREE_RTOL = 1e-6
-# LeastSquaresOperator keeps its Cholesky QR factor only when LAPACK's estimate
-# of R's reciprocal 1-norm condition number is at least this. Cholesky QR loses
-# orthogonality as cond(H)^2: on 768x128, 320x16 and 48x8 matrices of condition
-# 2 to 1e4, the accepted factors had ||Q^H Q - I|| <= 3.8e-12 (cond <= 410),
-# against up to 2.8e-10 at 1e-4. A 768x128 Gaussian block reads about 0.05.
+# LeastSquaresOperator uses the Cholesky factor R of H^H H only when LAPACK's
+# estimate of R's reciprocal 1-norm condition number is at least this. R's
+# error grows as cond(H)^2, and so does the orthogonality of Q = H R^-1 (one
+# Cholesky QR pass), by which the guard was picked: on 768x128, 320x16 and 48x8
+# matrices of condition 2 to 1e4, the accepted factors had ||Q^H Q - I|| <=
+# 3.8e-12 (cond <= 410), against up to 2.8e-10 at 1e-4. A 768x128 Gaussian
+# block reads about 0.05.
 _CHOLQR_MIN_RCOND = 1e-3
-# the same guard for a complex64 factor, which loses orthogonality as
-# cond(H)^2 * 6e-8. On 768x128, 320x16 and 48x8 complex64 matrices of
+# the same guard for a complex64 factor, whose Q = H R^-1 loses orthogonality
+# as cond(H)^2 * 6e-8. On 768x128, 320x16 and 48x8 complex64 matrices of
 # condition c, 3 draws each (Q and I compared in complex128):
 #
 #   c     ctrcon estimate    ||Q^H Q - I||       kept at 5e-3
@@ -175,22 +177,11 @@ _CHOLQR_MIN_RCOND = 1e-3
 #   1e3   5.9e-5 .. 4.9e-4   3.4e-3 .. 2.1e-2    0 of 9
 #   1e4   0 .. 5.3e-5        0.26 .. cpotrf fails 0 of 9
 #
-# Noiseless AP on G C (G Gaussian, so the range and AP's path are G's)
-# reached "tol" up to ||Q^H Q - I|| = 4.6e-4, and from 7e-4 up it stalled
-# near 1.5e-5, short of the complex128 finish. Gaussian blocks from 4n - 4
-# rows (1020x256) to 768x128 read 1.2e-2 to 4.1e-2.
+# Noiseless AP on G C (G Gaussian, so the range and AP's path are G's), then
+# iterating on that Q, reached "tol" up to ||Q^H Q - I|| = 4.6e-4, and from
+# 7e-4 up it stalled near 1.5e-5, short of the complex128 finish. Gaussian
+# blocks from 4n - 4 rows (1020x256) to 768x128 read 1.2e-2 to 4.1e-2.
 _CHOLQR_MIN_RCOND_SINGLE = 5e-3
-# _cholesky_qr forms Q = H R^-1 in place by scipy's trsm for a matrix of at
-# least this many entries, and column by column through numpy below it (the
-# phase tuner's L x K matrix up to K = 16; AP blocks of 64 columns and more
-# are above it). scipy's BLAS is a second OpenBLAS with its own thread pool:
-# unpinned, a trsm from about 160 x 8 up leaves its idle worker spinning for
-# about 0.13 s, and numpy's BLAS threads in the next trial's blocking step lose
-# a CPU to it. On 2 CPUs that doubled a K = 8 blocking step at N = 1024 (0.05
-# to 0.09-0.10 s, the median of three 2-trial sweeps), so that it read slower
-# than K = 4. The column loop costs about twice trsm's time (0.13 against
-# 0.05 ms on 320 x 16, 2.4 against 1.1 ms on a 768 x 128 complex64 block)
-_TRSM_MIN_ENTRIES = 2**14
 
 
 def _is_int(v) -> bool:
@@ -327,7 +318,7 @@ class SolverReport:
     ``stop_reason`` says why the winning restart stopped: "tol", "stall"
     or "max_iters". ``init_s``, ``iter_s`` and ``factor_s`` split the wall
     time, summed over all restarts run: starting points (spectral or
-    random), iterations, and the QR factorization (0 for wf_solve). The
+    random), iterations, and the Gram factorization (0 for wf_solve). The
     rest of ``wall_time_seconds`` is set-up and bookkeeping.
     """
 
@@ -643,98 +634,82 @@ def wf_solve(
     return _finish(t0, params.tol, *_best_restart(start, iterate, restarts))
 
 
-def _cholesky_qr(h: np.ndarray, min_rcond: float) -> tuple[np.ndarray, np.ndarray] | None:
-    """Q, R of the Fortran-ordered ``h`` by one Cholesky QR pass, in h's precision.
+def _gram_cholesky(h: np.ndarray, min_rcond: float) -> np.ndarray | None:
+    """R of the Gram matrix H^H H = R^H R, upper triangular, in h's precision.
 
-    Q overwrites ``h``. None, with ``h`` left as it was, when the Cholesky
-    factorization fails or LAPACK's estimate of R's reciprocal 1-norm
-    condition number is below ``min_rcond``.
+    None when the Cholesky factorization fails or LAPACK's estimate of R's
+    reciprocal 1-norm condition number is below ``min_rcond``.
     """
-    herk, trsm = blas.get_blas_funcs(("herk", "trsm"), (h,))
+    herk = blas.get_blas_funcs("herk", (h,))
     potrf, trcon = lapack.get_lapack_funcs(("potrf", "trcon"), (h,))
-    # herk with trans=2 forms H^H H with no conjugate copy of H; its upper
-    # Cholesky factor is R
-    r, info = potrf(herk(1.0, h, trans=2), lower=0, clean=1, overwrite_a=1)
+    # herk on h.T, Fortran-ordered for a C-ordered h, forms h^T conj(h) =
+    # conj(H^H H) with no copy of H; its upper Cholesky factor is conj(R)
+    r, info = potrf(herk(1.0, h.T), lower=0, clean=1, overwrite_a=1)
     if info != 0 or not trcon(r)[0] >= min_rcond:  # a NaN estimate fails too
         return None
-    if h.size < _TRSM_MIN_ENTRIES:
-        # column j of Q is column j of H less its part on Q's columns 0..j-1,
-        # over r_jj; in place, as trsm, through numpy's BLAS
-        for j in range(h.shape[1]):
-            h[:, j] -= h[:, :j] @ r[:j, j]
-            h[:, j] /= r[j, j]
-        return h, r
-    return trsm(1.0, r, h, side=1, lower=0, overwrite_b=1), r
+    return np.conjugate(r, out=r)
 
 
 class LeastSquaresOperator:
-    """Economy QR factor H = Q R of a fixed tall matrix H, for least squares.
+    """Least-squares solves with a fixed tall matrix H through its Gram factor.
 
-    The factor is one pass of Cholesky QR (Fukaya et al. 2014, "CholeskyQR2"):
-    R is the Cholesky factor of the Gram matrix H^H H, and Q = H R^-1 is one
-    triangular solve (for fewer than 2^14 entries, such as the phase
-    tuner's matrix, solved column by column through numpy, which keeps
-    scipy's BLAS thread pool idle). Its loss of orthogonality grows as
-    cond(H)^2, so it is kept only when the Cholesky factorization succeeds
-    and LAPACK's estimate of R's reciprocal condition number is at least a
-    threshold. The factor follows H's precision. A complex64 H is copied once, to a
-    Fortran-ordered complex64 array that the triangular solve turns into Q
-    in place, and is kept in complex64 when that estimate is at least 5e-3
-    (||Q^H Q - I|| about 2e-6 on a 768x128 Gaussian block). Otherwise, and
-    for any other dtype, H is copied to complex128 and factored the same
-    way against a threshold of 1e-3; if that fails too, it is factored by
-    Householder QR, which takes about 3x as long on a 768x128 block. A
-    complex64 Q is orthonormal only to float32 rounding, so alternating
-    projections through it have residuals non-increasing only up to that
-    rounding. Vectors handed to :meth:`coords` should have Q's dtype, since
-    numpy casts the whole of Q for a mixed-precision product.
+    :meth:`solve` returns G^-1 H^H v, the z that minimizes ||H z - v||_2,
+    where G = H^H H = R^H R and G^-1 = R^-1 R^-H is kept as one n x n
+    matrix, ``ginv``: a solve is a product with H^H and one with G^-1. R is
+    the Cholesky factor of G (``herk`` + ``potrf``), inverted by ``trtri``.
+    These are the seminormal equations, whose error grows as cond(H)^2
+    (Bjorck 1987), as one Cholesky QR pass loses orthogonality at that rate
+    (Fukaya et al. 2014, "CholeskyQR2"); so R is used only when LAPACK's
+    estimate of its reciprocal condition number is at least a threshold. A
+    complex64 H is factored in complex64, and kept as it is, not copied,
+    when that estimate is at least 5e-3 (a 768x128 Gaussian block reads
+    about 0.04). Otherwise, and for any other dtype, H is kept in
+    complex128 and factored the same way against a threshold of 1e-3. If
+    that fails too, R is taken from Householder QR, and :meth:`solve` adds
+    one step of the corrected seminormal equations, z += G^-1 H^H (v - H z),
+    which brings it to QR's accuracy. On a complex64 factor a solve carries
+    float32 rounding, so alternating projections through it have residuals
+    non-increasing only up to that rounding. Vectors handed to
+    :meth:`solve` should have ``h``'s dtype, since numpy casts the whole
+    matrix for a mixed-precision product.
 
-    Keeps Q (orthonormal columns) and R (upper triangular) only. The
-    least-squares solution of min_z ||H z - v||_2 is z = R^-1 Q^H v, and
-    Q^H v is applied as conj(v^H Q), so no conjugate-transposed copy of Q
-    is kept. Raises :class:`RankDeficient` when the R diagonal signals rank
-    deficiency within 1e-10 relative tolerance.
+    Keeps ``h`` (H in the factor's precision), ``ginv`` and ``refine`` (True
+    on a Householder R) only; R is read only here. Raises
+    :class:`RankDeficient` when the R diagonal signals rank deficiency
+    within 1e-10 relative tolerance.
     """
 
-    def __init__(self, matrix: np.ndarray, overwrite_a: bool = False):
-        matrix = np.asarray(matrix)
-        if matrix.ndim != 2:
+    def __init__(self, matrix: np.ndarray):
+        h = np.asarray(matrix)
+        if h.ndim != 2:
             raise ValueError("expected a 2-D matrix")
-        if matrix.shape[0] < matrix.shape[1]:
-            raise ValueError(f"need rows >= cols, got {matrix.shape}")
-        # with overwrite_a, a Fortran-ordered matrix of the factor's dtype is
-        # factored in place instead of copied
-        to_f = np.asarray if overwrite_a else np.array
-        qr = None
-        if matrix.dtype == np.complex64:
-            qr = _cholesky_qr(to_f(matrix, order="F"), _CHOLQR_MIN_RCOND_SINGLE)
-        if qr is None:
-            h = to_f(matrix, dtype=np.complex128, order="F")
-            qr = (_cholesky_qr(h, _CHOLQR_MIN_RCOND)
-                  or scipy.linalg.qr(h, mode="economic", check_finite=False))
-        self.q, self.r = qr
-        diag = np.abs(np.diagonal(self.r))
+        if h.shape[0] < h.shape[1]:
+            raise ValueError(f"need rows >= cols, got {h.shape}")
+        r = _gram_cholesky(h, _CHOLQR_MIN_RCOND_SINGLE) if h.dtype == np.complex64 else None
+        if r is None:
+            h = h.astype(np.complex128, copy=False)
+            r = _gram_cholesky(h, _CHOLQR_MIN_RCOND)
+        self.refine = r is None
+        if self.refine:
+            r = scipy.linalg.qr(h, mode="r", check_finite=False)[0][:h.shape[1]]
+        diag = np.abs(np.diagonal(r))
         if diag.min() <= 1e-10 * diag.max():
-            raise RankDeficient(
-                f"matrix of shape {matrix.shape} is rank-deficient within tolerance"
-            )
+            raise RankDeficient(f"matrix of shape {h.shape} is rank-deficient within tolerance")
+        trtri = lapack.get_lapack_funcs("trtri", (r,))
+        r_inv = trtri(r, overwrite_c=1)[0]  # in R's place
+        self.h, self.ginv = h, r_inv @ r_inv.conj().T
 
-    def coords(self, v: np.ndarray) -> np.ndarray:
-        """Q^H v: the Q-basis coordinates of v's projection onto the range of H."""
-        return (v.conj() @ self.q).conj()
+    def solve(self, v: np.ndarray) -> np.ndarray:
+        """G^-1 H^H v, with H^H v applied as conj(v^H H): no conjugate-transposed copy of H."""
+        z = self.ginv @ (v.conj() @ self.h).conj()
+        if self.refine:
+            z += self.ginv @ ((v - self.h @ z).conj() @ self.h).conj()
+        return z
 
-    def from_coords(self, u: np.ndarray) -> np.ndarray:
-        """R^-1 u: the z with H z = Q u."""
-        return scipy.linalg.solve_triangular(self.r, u, lower=False, check_finite=False)
 
-
-def pinv_factor(op: np.ndarray, overwrite_a: bool = False) -> LeastSquaresOperator:
-    """Factor a tall dense matrix once for repeated least-squares solves.
-
-    With ``overwrite_a`` the factor may overwrite ``op`` (as scipy.linalg's
-    ``overwrite_a``): pass it only for a copy no one else holds.
-    """
-    return LeastSquaresOperator(_dense(op, "pinv_factor"), overwrite_a)
+def pinv_factor(op: np.ndarray) -> LeastSquaresOperator:
+    """Factor a tall dense matrix once for repeated least-squares solves."""
+    return LeastSquaresOperator(_dense(op, "pinv_factor"))
 
 
 def _phases(v: np.ndarray, absv: np.ndarray) -> np.ndarray:
@@ -752,36 +727,30 @@ def _unit_modulus(d: np.ndarray) -> np.ndarray:
     return out
 
 
-def _project_run(mat: np.ndarray, lsq: LeastSquaresOperator, target: np.ndarray,
-                 norm_target: float, x: np.ndarray, params: APParams,
+def _project_run(lsq: LeastSquaresOperator, target: np.ndarray, norm_target: float,
+                 x: np.ndarray, params: APParams,
                  project: Callable[[np.ndarray], np.ndarray] | None = None,
                  full: Callable[[], LeastSquaresOperator] | None = None) -> _Run:
     """One alternating-projections run from ``x``, ended by the stop policy.
 
-    Each iteration projects the image ``mat @ x`` onto the modulus set
-    |.| = target, then back onto the range of mat = Q R. Without
-    ``project`` the run iterates in the Q basis: with u = R x the image is
-    Q u, and the range projection is u <- Q^H (target * phase(Q u)), so a
-    step reads Q alone; x = R^-1 u is solved once, when the run ends. With
-    ``project``, each step returns to x = R^-1 u, applies ``project`` and
-    images the result through ``mat``. The first image is taken in
-    ``mat``'s precision; the steps run in Q's. On a complex64 Q the run
-    switches to the complex128 factor ``full()`` the first time its
-    residual is at most 1e-5. The |image| behind each residual also gives
-    the next step's phase.
+    Each iteration projects the image H x onto the modulus set |.| = target,
+    then back onto the range of H: x <- ``lsq.solve(target * phase(H x))``,
+    then ``project(x)`` if one is given, then the image H x. The run
+    computes in the precision of the factor's H; on a complex64 factor it
+    switches to the complex128 factor ``full()`` the first time its residual
+    is at most 1e-5. The |image| behind each residual also gives the next
+    step's phase.
     """
-    mag = target.astype(np.finfo(lsq.q.dtype).dtype, copy=False)
-    mx = mat @ x.astype(mat.dtype, copy=False)
+    mag = target.astype(np.finfo(lsq.h.dtype).dtype, copy=False)
+    mx = lsq.h @ x.astype(lsq.h.dtype, copy=False)
     absmx = np.abs(mx)
     trace = []
     reason = None
     while reason is None:
-        u = lsq.coords(mag * _phases(mx, absmx))
-        if project is None:
-            mx = lsq.q @ u
-        else:
-            x = project(lsq.from_coords(u))
-            mx = mat @ x
+        x = lsq.solve(mag * _phases(mx, absmx))
+        if project is not None:
+            x = project(x)
+        mx = lsq.h @ x
         absmx = np.abs(mx)
         trace.append(float(np.linalg.norm(absmx - mag)) / norm_target)
         reason = _stop_reason(trace, len(trace), params.tol, params.max_iters)
@@ -792,15 +761,13 @@ def _project_run(mat: np.ndarray, lsq: LeastSquaresOperator, target: np.ndarray,
             lsq, mag = full(), target
             mx = mx.astype(np.complex128)
             absmx = np.abs(mx)
-    if project is None:
-        x = lsq.from_coords(u)
     return _Run(x.astype(np.complex128, copy=False), trace[-1], len(trace), trace, reason)
 
 
-def _timed_factor(op: np.ndarray, **kwargs) -> tuple[LeastSquaresOperator, float]:
+def _timed_factor(op: np.ndarray) -> tuple[LeastSquaresOperator, float]:
     """:func:`pinv_factor` of ``op`` and the seconds it took."""
     t0 = time.perf_counter()
-    lsq = pinv_factor(op, **kwargs)
+    lsq = pinv_factor(op)
     return lsq, time.perf_counter() - t0
 
 
@@ -815,21 +782,21 @@ def altproj_solve(
 
     Starts from :func:`spectral_init` on a^2 (or from ``z0``) and iterates
     v <- a * phase(H z), z <- argmin ||H z - v|| until the shared stop
-    policy ends the run (module docstring). H is factored once by QR,
-    H = Q R (:class:`LeastSquaresOperator`), and the iteration runs in the
-    Q basis (u = R z, see :func:`_project_run`), so each step reads Q alone
-    and z = R^-1 u is solved once per restart. The iteration runs in the
+    policy ends the run (module docstring). The Gram matrix G = H^H H is
+    factored once (:class:`LeastSquaresOperator`), and each step is
+    z <- G^-1 H^H (a * phase(H z)) (see :func:`_project_run`): two products
+    with the block and one with the n x n G^-1. The iteration runs in the
     factor's precision: on a complex64 block that takes a complex64 factor
-    it steps with float32 magnitudes and, the first time its residual is at
-    most 1e-5, switches to a complex128 factor of the block, so noiseless
-    runs still reach ``tol``. That factor is made once per solve, from one
-    complex128 copy of the block, after the complex64 one is freed, and
-    counted in ``factor_s``; later restarts of the solve iterate on it. The
-    residual sequence is non-increasing (each step projects onto the
-    modulus set, then onto the operator range), up to float32 rounding on a
-    complex64 factor. A NaN or infinite iterate raises
-    :class:`Diverged`. An all-zero ``a`` short-circuits to z = 0, converged.
-    The estimate is complex128.
+    (the block itself, not a copy) it steps with float32 magnitudes and,
+    the first time its residual is at most 1e-5, switches to a complex128
+    factor of the block, so noiseless runs still reach ``tol``. That factor
+    is made once per solve, from one complex128 copy of the block, after
+    the complex64 one is freed, and counted in ``factor_s``; later restarts
+    of the solve iterate on it. The residual sequence is non-increasing
+    (each step projects onto the modulus set, then onto the operator
+    range), up to float32 rounding on a complex64 factor. A NaN or infinite
+    iterate raises :class:`Diverged`. An all-zero ``a`` short-circuits to
+    z = 0, converged. The estimate is complex128.
     """
     params = params or APParams()
     t0 = time.perf_counter()
@@ -852,11 +819,11 @@ def altproj_solve(
         # freed before the complex128 one is made from one copy of the block
         nonlocal lsq, finish_s
         lsq = None
-        lsq, finish_s = _timed_factor(op.astype(np.complex128, order="F"), overwrite_a=True)
+        lsq, finish_s = _timed_factor(op.astype(np.complex128))
         return lsq
 
     def iterate(z: np.ndarray) -> _Run:
-        return _project_run(op, lsq, a, norm_a, z, params, full=full)
+        return _project_run(lsq, a, norm_a, z, params, full=full)
 
     best, used, init_s, iter_s = _best_restart(start, iterate, restarts)
     return _finish(t0, params.tol, best, used, init_s, iter_s - finish_s, factor_s + finish_s)
@@ -872,13 +839,13 @@ def unit_modulus_tune(
     """Recover unit-modulus phase factors d from y_t = |B d|.
 
     Alternating projections as in :func:`altproj_solve`, through the same
-    QR factor of B, but after every least-squares update each entry is
-    pulled back to the unit circle (entries with modulus < 1e-14 reset to
-    1), so the output always has |d_i| = 1. The restart loop also ends
-    once a restart's final residual agrees with the best before it to 1e-6
-    (relative): on noisy data restarts land on the same floor, and the cap
-    of 50 only matters when they do not. A zero y_t returns all-ones,
-    flagged non-converged.
+    Gram factor of B, in complex128, but after every least-squares update
+    each entry is pulled back to the unit circle (entries with modulus
+    < 1e-14 reset to 1), so the output always has |d_i| = 1. The restart
+    loop also ends once a restart's final residual agrees with the best
+    before it to 1e-6 (relative): on noisy data restarts land on the same
+    floor, and the cap of 50 only matters when they do not. A zero y_t
+    returns all-ones, flagged non-converged.
     """
     params = params or APParams()
     b_mat = np.asarray(tuning_matrix, dtype=np.complex128)
@@ -900,7 +867,7 @@ def unit_modulus_tune(
         return _unit_modulus(complex_normal(generator(mix_seed(seed, r)), k))
 
     def iterate(d: np.ndarray) -> _Run:
-        return _project_run(b_mat, lsq, y_t, norm_y, d, params, _unit_modulus)
+        return _project_run(lsq, y_t, norm_y, d, params, _unit_modulus)
 
     return _finish(t0, params.tol, *_best_restart(start, iterate, restarts, _TUNE_AGREE_RTOL),
                    factor_s)

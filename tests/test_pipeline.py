@@ -405,6 +405,24 @@ def test_phase_tune_recovers_injected_phases(k):
     assert np.max(np.abs(rel - target)) <= 1e-6
 
 
+def test_phase_tune_recovers_injected_phases_at_k64():
+    # acceptance criterion 2's draw at K = 64 (N = 8192 runs auto-K 64): a
+    # noiseless 1280 x 64 tuning matrix, factored through its Gram matrix.
+    # On 20 such draws every run stopped on tol in its first restart, with
+    # the phases 2.7e-10 to 6.7e-10 off
+    k, n_i = 64, 16
+    rng = generator(mix_seed(7_064, 0))
+    x = complex_normal(rng, k * n_i)
+    a = complex_normal(rng, (20 * k, k * n_i))
+    phases = rng.uniform(0, 2 * np.pi, k)
+    b = np.stack([a[:, i * n_i:(i + 1) * n_i] @ (x[i * n_i:(i + 1) * n_i] * np.exp(1j * p))
+                  for i, p in enumerate(phases)], axis=1)
+    d, rep = phase_tune(b, np.abs(a @ x), SolverSpec("unit_modulus_tuner", seed=6, restarts=50))
+    assert rep.stop_reason == "tol"
+    rel = d * np.conj(d[0])
+    assert np.max(np.abs(rel - np.exp(-1j * (phases - phases[0])))) <= 1e-6
+
+
 def test_phase_tune_beta_one_fails_sometimes():
     # L = K leaves the tuning system underdetermined in practice; the run
     # must flag non-convergence rather than silently pretend success. A

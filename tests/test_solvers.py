@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -315,16 +316,39 @@ def test_wf_complex64_solve_copies_no_block(block64_snr30, traced_peak):
     assert peak < block64_snr30.operator.nbytes
 
 
+def test_altproj_complex64_solve_copies_no_block(block64_snr30, traced_peak):
+    # the factor keeps the block itself beside G^-1 (n x n), and an SNR-30
+    # run never reaches the complex128 finish; the peak read 0.41 MB against
+    # the block's 0.79 MB, and 0.96 MB when the factor held the block's Q
+    (z, rep), peak = traced_peak(lambda: altproj_solve(block64_snr30, seed=1))
+    assert rep.stop_reason == "stall" and z.dtype == np.complex128
+    assert peak < block64_snr30.operator.nbytes
+
+
+def _inverse_error(h, lsq):
+    """||G^-1 G - I|| of the factor's G^-1, with G = H^H H, in complex128."""
+    h = h.astype(np.complex128)
+    return np.linalg.norm(lsq.ginv.astype(np.complex128) @ (h.conj().T @ h) - np.eye(h.shape[1]))
+
+
 def test_pinv_factor_makes_one_complex128_copy(block64_snr30, traced_peak):
-    # a complex128 block: Q overwrites the one Fortran-ordered copy of H, and R
-    # the Gram matrix H^H H; 16 KiB covers the condition estimate's work
-    # vectors and R's diagonal
+    # a complex128 block is kept as it is, and a complex64 one that fails the
+    # single-precision guard is copied once to complex128; beside it the
+    # factor holds R^-1 (in R's place), R^-H and G^-1 at most (n x n each),
+    # and 16 KiB covers the condition estimate's work vectors and R's diagonal
     h = block64_snr30.operator.astype(np.complex128)
     m, n = h.shape
     lsq, peak = traced_peak(lambda: pinv_factor(h))
-    assert lsq.q.dtype == lsq.r.dtype == np.complex128
-    assert peak <= 16 * m * n + 16 * n * n + 16 * 1024
-    assert np.linalg.norm(lsq.q @ lsq.r - h) <= 1e-12 * np.linalg.norm(h)
+    assert lsq.h is h and lsq.ginv.dtype == np.complex128
+    assert peak <= 3 * 16 * n * n + 16 * 1024
+    assert _inverse_error(h, lsq) <= 1e-13
+    # condition 20: a reciprocal condition estimate of 2.1e-3, between the
+    # two guards
+    v, _ = np.linalg.qr(complex_normal(generator(26), (n, n)))
+    h = (h @ (v * np.geomspace(1, 1 / 20, n)) @ v.conj().T).astype(np.complex64)
+    lsq, peak = traced_peak(lambda: pinv_factor(h))
+    assert lsq.h.dtype == lsq.ginv.dtype == np.complex128 and not lsq.refine
+    assert peak <= 16 * m * n + 3 * 16 * n * n + 16 * 1024
 
 
 def test_spectral_init_complex64_block_stops_before_the_cap(block64_snr30, monkeypatch):
@@ -340,72 +364,44 @@ def test_spectral_init_complex64_block_stops_before_the_cap(block64_snr30, monke
         assert len(calls) < WFParams().init_power_iters, seed
 
 
-def test_pinv_factor_makes_one_complex64_copy(block64_snr30, traced_peak):
-    # a complex64 block is factored in its own precision, in one complex64
-    # copy; ||QR - H|| / ||H|| read 5.9e-8 to 6.1e-8 on six 768 x 128 blocks
+def test_pinv_factor_keeps_the_complex64_block(block64_snr30, traced_peak):
+    # a complex64 block is factored in its own precision and kept, not
+    # copied: the factor holds no m x n array of its own, and G^-1 is the
+    # only array it adds. ||G^-1 G - I|| read 3.6e-6 to 4.0e-6 on nine
+    # 768 x 128 blocks
     h = block64_snr30.operator
     m, n = h.shape
     lsq, peak = traced_peak(lambda: pinv_factor(h))
-    assert lsq.q.dtype == lsq.r.dtype == np.complex64
-    assert peak <= 8 * m * n + 8 * n * n + 16 * 1024
-    assert np.linalg.norm(lsq.q @ lsq.r - h) <= 2e-7 * np.linalg.norm(h)
+    assert lsq.h is h and lsq.ginv.dtype == np.complex64
+    for name, value in vars(lsq).items():
+        if isinstance(value, np.ndarray):
+            assert np.shares_memory(value, h) or value.size <= n * n, name
+    assert peak <= 3 * 8 * n * n + 16 * 1024
+    assert _inverse_error(h, lsq) <= 5e-6
 
 
 # ---------------------------------------------------------------- pinv_factor
 
-@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
-def test_pinv_factor_overwrites_only_when_asked(dtype):
-    # a caller's Fortran-ordered matrix of the factor's dtype is copied;
-    # with overwrite_a it becomes Q, and the factor is the same bit for bit
-    h = np.asfortranarray(complex_normal(generator(24), (96, 16)).astype(dtype))
-    kept = h.copy(order="F")
-    lsq = pinv_factor(h)
-    assert h.tobytes() == kept.tobytes() and not np.shares_memory(lsq.q, h)
-    in_place = pinv_factor(h, overwrite_a=True)
-    assert np.shares_memory(in_place.q, h)
-    assert in_place.q.tobytes() == lsq.q.tobytes() and in_place.r.tobytes() == lsq.r.tobytes()
-
-
-def test_pinv_factor_runs_scipy_trsm_only_on_large_matrices(monkeypatch):
-    # a trsm wakes scipy's own BLAS thread pool, whose idle worker then takes
-    # a CPU from numpy's; the tuner's matrix (320 x 16 at N = 2048) forms Q
-    # through numpy, an AP block (768 x 128) by trsm in place
-    get_funcs = solvers.blas.get_blas_funcs
-    trsm_shapes = []
-
-    def recording(names, arrays):
-        herk, trsm = get_funcs(names, arrays)
-        return herk, lambda alpha, r, h, **kw: trsm_shapes.append(h.shape) or trsm(alpha, r, h, **kw)
-
-    monkeypatch.setattr(solvers.blas, "get_blas_funcs", recording)
-    rng = generator(25)
-    for shape in [(320, 16), (768, 128)]:
-        h = complex_normal(rng, shape)
-        lsq = pinv_factor(h)
-        assert np.linalg.norm(lsq.q @ lsq.r - h) <= 1e-12 * np.linalg.norm(h)
-        assert np.linalg.norm(lsq.q.conj().T @ lsq.q - np.eye(shape[1])) <= 1e-12
-    assert trsm_shapes == [(768, 128)]
-
-
 def test_pinv_identity():
     lsq = pinv_factor(np.eye(3, dtype=complex))
     v = np.array([1.0, 2.0, 3.0], dtype=complex)
-    assert np.allclose(lsq.from_coords(lsq.coords(v)), v, atol=1e-14)
+    assert np.allclose(lsq.solve(v), v, atol=1e-14)
 
 
 def test_pinv_least_squares_mean():
     lsq = pinv_factor(np.array([[1.0], [1.0]], dtype=complex))
-    z = lsq.from_coords(lsq.coords(np.array([1.0, 3.0], dtype=complex)))
+    z = lsq.solve(np.array([1.0, 3.0], dtype=complex))
     assert np.allclose(z, [2.0], atol=1e-14)
 
 
 def _assert_matches_svd_route(h, lsq, rng, tol=1e-10):
-    # independent factorization: numpy lstsq (SVD, in complex128) vs our QR
+    # independent factorization: numpy lstsq (SVD, in complex128) vs the
+    # Gram factor's solve
     for t in range(5):
         v = complex_normal(rng, h.shape[0])
-        z_qr = lsq.from_coords(lsq.coords(v))
+        z_gram = lsq.solve(v)
         z_svd, *_ = np.linalg.lstsq(h, v, rcond=None)
-        assert np.linalg.norm(h @ z_qr - h @ z_svd) <= tol * np.linalg.norm(v)
+        assert np.linalg.norm(h @ z_gram - h @ z_svd) <= tol * np.linalg.norm(v)
 
 
 def test_pinv_cross_check_against_svd_route():
@@ -415,7 +411,8 @@ def test_pinv_cross_check_against_svd_route():
 
 
 def test_pinv_gaussian_block_takes_cholesky_qr(monkeypatch):
-    # a well-conditioned block is factored by Cholesky QR alone
+    # a well-conditioned block is factored by the Gram matrix's Cholesky
+    # factor alone; ||G^-1 G - I|| read 8.0e-15 to 8.8e-15 on six such blocks
     def householder(*args, **kwargs):
         raise AssertionError("Householder QR ran on a well-conditioned block")
 
@@ -423,7 +420,7 @@ def test_pinv_gaussian_block_takes_cholesky_qr(monkeypatch):
     rng = generator(18)
     h = complex_normal(rng, (768, 128))
     lsq = pinv_factor(h)
-    assert np.linalg.norm(lsq.q.conj().T @ lsq.q - np.eye(128)) <= 1e-13
+    assert _inverse_error(h, lsq) <= 1e-13 and not lsq.refine
     _assert_matches_svd_route(h, lsq, rng)
 
 
@@ -431,57 +428,60 @@ def test_pinv_ill_conditioned_falls_back_to_householder():
     # singular values 1 .. 1e-6: one unguarded Cholesky QR pass misses the
     # SVD route by about 2e-6 here, so the condition guard must send this
     # full-rank matrix to Householder QR. Column scaling would not test the
-    # guard, because Cholesky QR tolerates it.
+    # guard, because Cholesky QR tolerates it. On the Householder R the plain
+    # seminormal step still missed by up to 1.5e-6; with the one refinement
+    # step it missed by 5e-12 to 1.9e-11.
     rng = generator(17)
     u, _ = np.linalg.qr(complex_normal(rng, (48, 8)))
     v, _ = np.linalg.qr(complex_normal(rng, (8, 8)))
     h = (u * np.geomspace(1, 1e-6, 8)) @ v.conj().T
-    _assert_matches_svd_route(h, pinv_factor(h), rng)
+    lsq = pinv_factor(h)
+    assert lsq.refine
+    _assert_matches_svd_route(h, lsq, rng)
     # rounded to complex64, it fails the single-precision guard too and is
     # factored from its exact complex64 entries in complex128
     h = h.astype(np.complex64)
     lsq = pinv_factor(h)
-    assert lsq.q.dtype == lsq.r.dtype == np.complex128
+    assert lsq.h.dtype == lsq.ginv.dtype == np.complex128 and lsq.refine
     _assert_matches_svd_route(h, lsq, rng)
 
 
 def test_pinv_complex64_gaussian_block_takes_single_precision_cholesky_qr(monkeypatch):
     # a well-conditioned complex64 block is factored by one complex64
-    # Cholesky QR pass, with neither the complex128 nor the Householder route;
-    # ||Q^H Q - I|| read 2.0e-6 to 2.2e-6 on six such blocks, and the
-    # least-squares misfit about 9e-8
-    cholesky_qr = solvers._cholesky_qr
+    # Cholesky factorization of its Gram matrix, with neither the complex128
+    # nor the Householder route; ||G^-1 G - I|| read 3.6e-6 to 4.0e-6 on six
+    # such blocks
+    gram_cholesky = solvers._gram_cholesky
 
     def single_only(h, min_rcond):
         if h.dtype != np.complex64:
             raise AssertionError("the complex128 route ran on a well-conditioned complex64 block")
-        return cholesky_qr(h, min_rcond)
+        return gram_cholesky(h, min_rcond)
 
     def householder(*args, **kwargs):
         raise AssertionError("Householder QR ran on a well-conditioned block")
 
-    monkeypatch.setattr(solvers, "_cholesky_qr", single_only)
+    monkeypatch.setattr(solvers, "_gram_cholesky", single_only)
     monkeypatch.setattr(solvers.scipy.linalg, "qr", householder)
     rng = generator(18)
     h = complex_normal(rng, (768, 128)).astype(np.complex64)
     lsq = pinv_factor(h)
-    assert lsq.q.dtype == lsq.r.dtype == np.complex64
-    q = lsq.q.astype(np.complex128)
-    assert np.linalg.norm(q.conj().T @ q - np.eye(128)) <= 5e-6
+    assert lsq.ginv.dtype == np.complex64 and lsq.h is h
+    assert _inverse_error(h, lsq) <= 5e-6
     _assert_matches_svd_route(h, lsq, rng, tol=1e-6)
 
 
 def test_pinv_complex64_guard_keeps_noiseless_altproj_on_tol():
     # H = G C with G Gaussian and C of condition 300 has G's range, so AP
-    # takes G's path; but a complex64 Cholesky QR of it is orthonormal only to
-    # about 1e-3, and on three such draws (and this one) noiseless AP on that
-    # factor stalled near 1.5e-5, short of the complex128 finish. The guard
-    # sends it to complex128.
+    # takes G's path; but the Q = H R^-1 of its complex64 Cholesky factor is
+    # orthonormal only to about 1e-3, and on three such draws (and this one)
+    # noiseless AP on that factor stalled near 1.5e-5, short of the complex128
+    # finish. The guard sends it to complex128.
     rng = generator(23)
     v, _ = np.linalg.qr(complex_normal(rng, (16, 16)))
     h = (complex_normal(rng, (96, 16)) @ (v * np.geomspace(1, 1 / 300, 16)) @ v.conj().T)
     h = h.astype(np.complex64)
-    assert pinv_factor(h).q.dtype == np.complex128
+    assert pinv_factor(h).h.dtype == np.complex128
     inst = PRInstance(h, measure(h, complex_normal(rng, 16)), "intensity")
     _, rep = altproj_solve(inst, seed=1)
     assert rep.stop_reason == "tol"
@@ -497,7 +497,7 @@ def test_pinv_rank_deficient():
 
 def test_pinv_zero_column_rank_deficient():
     # the Gram matrix is singular, so the Cholesky factorization fails and
-    # the rank rule runs on the Householder factor
+    # the rank rule runs on the Householder factor, before R is inverted
     h = complex_normal(generator(19), (48, 8))
     h[:, 3] = 0
     with pytest.raises(RankDeficient):
@@ -581,7 +581,7 @@ def _xspace_altproj(h, a, z, params):
 
 
 def test_altproj_matches_xspace_lstsq_reference():
-    # iterating in the Q basis of H = QR changes only the rounding of each step
+    # iterating through the Gram factor changes only the rounding of each step
     params = APParams()
     for t in range(5):
         inst, _ = noisy_instance(mix_seed(970, t), 16, 96)
@@ -593,7 +593,7 @@ def test_altproj_matches_xspace_lstsq_reference():
 
 
 def test_altproj_and_tuner_factor_once(monkeypatch):
-    # one QR factorization per solve, through the module-level pinv_factor,
+    # one factorization per solve, through the module-level pinv_factor,
     # which the benchmark's tracer wraps to time solvers.factor_s
     calls = []
     factor = solvers.pinv_factor
@@ -623,16 +623,17 @@ def test_altproj_noiseless_runs_stop_on_tol():
 
 def test_altproj_complex64_noiseless_runs_finish_on_a_second_factor(monkeypatch):
     # a complex64 run switches once to a complex128 factor at residual 1e-5,
-    # whose seconds count as factorization, not iteration
+    # whose seconds count as factorization, not iteration, and reaches tol
+    # (1e-10) through it, on 768 x 128 blocks as the pipeline's too
     calls = []
     factor = solvers.pinv_factor
     monkeypatch.setattr(solvers, "pinv_factor",
-                        lambda op, **kw: calls.append(op.dtype) or factor(op, **kw))
-    for t in range(5):
-        inst, x = gaussian_instance(mix_seed(975, t), 16, 96, dtype=np.complex64)
+                        lambda op: calls.append(op.dtype) or factor(op))
+    for t, (n, m) in itertools.product(range(5), [(16, 96), (128, 768)]):
+        inst, x = gaussian_instance(mix_seed(975, t), n, m, dtype=np.complex64)
         calls.clear()
         z, rep = altproj_solve(inst, seed=t)
-        assert rep.stop_reason == "tol" and rep.converged
+        assert rep.stop_reason == "tol" and rep.converged, (t, n)
         assert calls == [np.complex64, np.complex128]
         assert rep.init_s + rep.iter_s + rep.factor_s <= rep.wall_time_seconds
         assert nmse(x, z) <= 1e-15
@@ -640,21 +641,22 @@ def test_altproj_complex64_noiseless_runs_finish_on_a_second_factor(monkeypatch)
 
 def test_altproj_complex64_noiseless_finish_holds_one_complex128_copy(traced_peak):
     # a noiseless complex64 run finishes on a complex128 factor: the solve
-    # frees its complex64 factor (Q and R, 0.92 MB), then factors one
-    # complex128 copy of the block (1.57 MB) in place. The bound would hold
-    # both at once, with 0.3 MB for R and vectors; the peak read 1.92 MB, and
-    # 4.36 MB when the finish made two copies beside the complex64 factor
+    # frees its complex64 G^-1, then factors one complex128 copy of the block
+    # (1.57 MB), which the factor keeps, with at most three n x n arrays
+    # beside it while G^-1 is formed. The peak read 2.39 MB; 1.92 MB when the
+    # copy became Q in place, and 4.36 MB when the finish made two copies
+    # beside the complex64 factor
     inst, _ = gaussian_instance(61, 128, 768, dtype=np.complex64)
     m, n = inst.operator.shape
     (z, rep), peak = traced_peak(lambda: altproj_solve(inst, seed=1))
     assert rep.stop_reason == "tol"
-    assert peak <= (8 * m * n + 8 * n * n) + 16 * m * n + 0.3e6
+    assert peak <= 16 * m * n + 3 * 16 * n * n + 0.1e6
 
 
 def test_altproj_complex64_block_matches_its_complex128_promotion(block64_snr30, traced_peak):
     # the same path to 1e-6 (the estimates differed by 6.5e-7 relative);
-    # Q is as large as the block, so the peak is bounded by one complex128
-    # copy of it, which factoring in complex128 would exceed
+    # the peak is bounded by one complex128 copy of the block, which
+    # factoring in complex128 would exceed
     inst = block64_snr30
     full = PRInstance(inst.operator.astype(np.complex128), inst.measurements, "intensity",
                       inst.snr_db)
