@@ -76,7 +76,11 @@ def _solver_spec(value) -> SolverSpec:
     kind = _solver_kind(value.get("kind", "wf"))
     params = value.get("params")
     if params is not None:
-        params = WFParams(**params) if kind == "wf_truncated" else APParams(**params)
+        cls = WFParams if kind == "wf_truncated" else APParams
+        unknown = set(params) - {f.name for f in dataclasses.fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
+        params = cls(**params)
     return SolverSpec(kind, params=params, restarts=value.get("restarts", 1))
 
 

@@ -28,15 +28,17 @@ are the relative magnitude misfit || |H z| - sqrt(y) || / || sqrt(y) || of
 an estimate z to the intensities y.
 
 All three share one stop policy (:func:`_stop_reason`): a run ends when its
-residual reaches ``tol``, when it stalls (moved by less than 1e-3, relative,
-over the last 20 iterations; on noisy data ``tol`` is out of reach and the
-plateau is the answer), or at ``max_iters``, and
-:class:`SolverReport.stop_reason` says which. A non-finite residual raises
-:class:`Diverged`; alternating projections carry a NaN or infinite image
-into the residual rather than mapping its phase to 1. The spectral start
-ends its power iteration once the unit iterate stops moving, and the phase
-tuner ends its restart loop once a restart's final residual agrees with the
-best before it. The report also splits the wall time into starting points,
+residual reaches ``tol``, when it stalls (on noisy data ``tol`` is out of
+reach and the plateau is the answer), or at ``max_iters``, and
+:class:`SolverReport.stop_reason` says which. Momentum WF and alternating
+projections stall on a plateau predicted by a geometric extrapolation of
+the residuals; the phase tuner and gaussian-loss WF once the residual moved
+by less than 1e-3, relative, over the last 20 iterations. A non-finite
+residual raises :class:`Diverged`; alternating projections carry a NaN or
+infinite image into the residual rather than mapping its phase to 1. The
+spectral start ends its power iteration once the unit iterate stops moving,
+and the phase tuner ends its restart loop once a restart's final residual
+agrees with the best before it. The report also splits the wall time into starting points,
 iterations and the Gram factorization.
 
 The solvers run on dense operators only: the pipeline hands them one
@@ -90,37 +92,52 @@ __all__ = [
 SolverKind = Literal["wf_truncated", "alt_proj", "unit_modulus_tuner"]
 StopReason = Literal["tol", "stall", "max_iters"]
 
-# the stall stop: the residual moved by less than _STALL_RTOL, relative, over
-# the last _STALL_WINDOW iterations. The spectral start's power iteration ends
-# once ||v_k - v_{k-1}|| <= _SPECTRAL_STEP_TOL (unit iterates);
-# init_power_iters stays the cap. The three were picked together on the
-# benchmark's SNR-30 instances (seeds 1-3: 144 WF blocks at N = 2048, 108 at
-# N = 512, 240 AP blocks at N = 1024, and the densified N = 512 baseline):
+# the stall stop (_stop_reason). Momentum WF and alternating projections
+# predict their plateau from the residuals _PLATEAU_LAG apart, once more than
+# _PLATEAU_MIN exist; the phase tuner and gaussian-loss WF stall once the
+# residual moved by less than _STALL_RTOL, relative, over the last
+# _STALL_WINDOW iterations. The spectral start's power iteration ends once
+# ||v_k - v_{k-1}|| <= _SPECTRAL_STEP_TOL (unit iterates); init_power_iters
+# stays the cap. Per block, against the window and the truncated start it
+# replaced (weights b_r [b_r <= 9 mean(b)]), on trial seeds mix_seed(S, 2, N, t)
+# with solver seeds block_seed(trial, i):
 #
-#   window  rtol  spectral  WF iters   power iters  AP iters   baseline    WF NMSE
-#                 tol       per block  per start    per block  iters+power per seed
-#   50      1e-3  1e-3      111        40           87         120+60      (before)
-#   20      1e-3  1e-3       79        40           56          87+60      +0.1..+1.3%
-#   50      1e-3  1e-2      110        23           87         128+22      -0.8..+1.6%
-#   20      1e-3  1e-2       79        23           56          93+22      -1.3..+2.9%
-#   20      1e-3  1.5e-2     80        20           57          95+18      -2.7..+3.1%
-#   20      1e-3  2e-2       81        18           58          96+16      +0.1..+3.1%
-#   20      1e-3  3e-2       82        16           58         326+14      -1.3..+3.3%
-#   20      4e-4  1e-2       86        23           60         109+22      -0.3..+2.8%
-#   25      1e-3  1e-2       85        23           62         100+22      -1.2..+2.9%
-#   30      1e-3  1e-2       90        23           67         106+22      -1.2..+3.2%
-#   15      1e-3  1e-2       74        23           51          85+22      -1.2..+3.9%
+#   blocks                      start      stop     iters       power  block     wrong
+#                                                   mean / p99  steps  NMSE      (> 0.1)
+#   WF, SNR 30, N = 2048,       truncated  window    48.5 / 76  24.7   1.168e-3   0
+#   96 of 768 x 128 (S = 900)   truncated  predict   24.2 / 31  24.7   1.199e-3   0
+#                               optimal    window    42.8 / 71  24.0   1.150e-3   0
+#                               optimal    predict   19.1 / 25  24.0   1.164e-3   0
+#   WF, SNR 30, N = 512, alpha  truncated  window   112.5 / 400 25.6   2.634e-3  14
+#   4, 200 of 512 x 128 (901)   truncated  predict   73.3 / 166 25.6   2.850e-3  25
+#                               optimal    window    68.7 / 133 31.1   2.598e-3   0
+#                               optimal    predict   39.6 / 66  31.1   2.744e-3   0
+#   AP, SNR 30, N = 1024,       truncated  window    55.3 / 75  24.7   2.067e-3   0
+#   80 of 768 x 128 (902)       optimal    predict   24.6 / 41  25.0   2.047e-3   0
+#   AP, alpha 4, as WF above    truncated  window   136.1 / 416 25.6   3.970e-3   5
+#                               optimal    predict   56.6 / 95  31.1   3.974e-3   0
+#   WF, noiseless, N = 256,     truncated  window    73.2 / 95  20.4   3.4e-16    1
+#   100 of 384 x 64 (903)       optimal    predict   67.3 / 72  22.1   2.8e-16    0
 #
-# AP's NMSE moved by 0.3% at most, and the tuner ran 42 iterations per solve
-# at N = 2048 against 70. Paired perfbench runs (wf-n2048-p1, seeds 71-73)
-# read a median solve_s of 0.11-0.14 s for every row from 20 to 30 against
-# 0.22 s before: too close to rank, so the counts decide. Window 20 runs the
-# fewest iterations in 20..30; scaling rtol with the window (4e-4) costs 9%
-# more for no NMSE gain; a spectral tol above 1e-2 saves at most 5 power
-# iterations per start, and 3e-2 sends the baseline from 93 to 326 WF
-# iterations (mono_s 0.37-0.42 s against 0.20-0.22 s).
+# The noiseless block that the truncated start left wrong stopped on "stall"
+# at residual 0.29; with the optimal start all 100 stop on "tol". The densified
+# N = 512 baseline ran 53 WF iterations after 22 power steps, and now runs 20
+# after 28. With the shift from the Marchenko-Pastur edge of all M rows, not
+# only the negative-weight ones, a start took 28.5 power steps at N = 2048
+# (36.0 at alpha 4) for the same correlation with the signal (median 0.873,
+# minimum 0.821). The predicted stop needs the optimal start: with the
+# truncated one it sends 25 blocks wrong at alpha 4, against 14. With the
+# predicted stop on gaussian-loss WF and the tuner too, acceptance criterion 4
+# read a median NMSE of 9.71e-4 and 1.02e-3 against its 1e-3 gate (8.80e-4 and
+# 9.44e-4 with the window), so those keep the window. The window and the
+# spectral tolerance were picked together with the truncated start: windows of
+# 15 to 30 ran 74 to 90 WF iterations per block, rtol 4e-4 cost 9% more for no
+# NMSE gain, and a spectral tolerance above 1e-2 saved at most 5 power steps
+# per start while 3e-2 sent the baseline from 93 to 326 WF iterations.
 _STALL_WINDOW = 20
 _STALL_RTOL = 1e-3
+_PLATEAU_LAG = 4
+_PLATEAU_MIN = 10
 _SPECTRAL_STEP_TOL = 1e-2
 # wf_solve and altproj_solve iterate in their block's precision until the
 # residual first reaches this, then finish in complex128. A complex64 iteration
@@ -238,9 +255,6 @@ class WFParams:
     max_iters: int = 400
     step_size: float = 0.2
     init_power_iters: int = 100
-    # keeps rows with b_r <= trunc_y * mean(b); 9 = 3^2, the usual squared-form
-    # threshold, which barely truncates exponential-tailed complex intensities
-    trunc_y: float = 9.0
     trunc_lb: float = 0.3
     trunc_ub: float = 5.0
     trunc_h: float = 5.0
@@ -249,8 +263,8 @@ class WFParams:
 
     def __post_init__(self):
         _require_counts(self, "max_iters", "init_power_iters")
-        _require_positive(self, "max_iters", "step_size", "init_power_iters", "trunc_y",
-                          "trunc_lb", "trunc_ub", "trunc_h", "tol")
+        _require_positive(self, "max_iters", "step_size", "init_power_iters", "trunc_lb",
+                          "trunc_ub", "trunc_h", "tol")
         if self.trunc_lb >= self.trunc_ub:
             raise ValueError("trunc_lb must be < trunc_ub")
         if self.loss not in ("poisson", "gaussian"):
@@ -350,6 +364,11 @@ def _row_norms(h: np.ndarray) -> np.ndarray:
     ])
 
 
+def _norm(v: np.ndarray) -> float:
+    """The 2-norm of a vector, at a third of np.linalg.norm's call cost on a 128-vector."""
+    return math.sqrt(np.vdot(v, v).real)
+
+
 def _dense(op: Operator, who: str) -> np.ndarray:
     """``op`` itself if dense; a KRBDMatrix raises TypeError."""
     if isinstance(op, KRBDMatrix):
@@ -390,13 +409,30 @@ def spectral_init(op: np.ndarray | _LinOp, b: np.ndarray, params: WFParams,
                   seed: int) -> np.ndarray:
     """Spectral starting point from intensity measurements.
 
-    Runs power iterations (from a seeded random start) on the truncated
-    weighted covariance (1/M) sum_{r in T} b_r h_r h_r^H,
-    T = {r : b_r <= trunc_y * mean(b)}, until the unit iterate moves by at
-    most 1e-2 in one step, or for ``init_power_iters`` iterations. It then
-    scales the unit eigenvector v to ||z0|| = sqrt(N * mean(b) /
-    mean(||h_r||^2)) so that ||z0||^2 estimates the signal energy. The
-    iteration runs in the operator's precision, and z0 has its dtype.
+    Runs power iterations (from a seeded random start) on the preprocessed
+    covariance D = sum_r T_r h_r h_r^H, with the optimal preprocessing
+    T(y) = 1 - 1/y (Luo, Alghamdi & Lu 2019; Mondelli & Montanari 2017) of
+    y = b_r / mean(b), clipped at -1 (y = 1/2) and divided by M. Its
+    leading eigenvector correlates with the signal far better than that of
+    a truncated weighting (median 0.87 against 0.62 on 768 x 128 blocks at
+    SNR 30). D has negative eigenvalues, so the iteration runs on D + sI.
+    D's negative part is at most -min T times the largest eigenvalue of
+    (1/M) sum_{r : T_r < 0} h_r h_r^H, and s is that with the eigenvalue
+    estimated at the Marchenko-Pastur edge of those M_- rows,
+    1.1 (sqrt(M_-) + sqrt(N))^2 mean(||h_r||^2) / (M N). On a Gaussian block
+    it clears D's least eigenvalue by about half (1.6 against 1.1 on
+    768 x 128 blocks). On another operator it can come out too small; a
+    Rayleigh quotient below zero shows that, and s becomes
+    -min T mean(||h_r||^2), a bound for every operator, since
+    lambda_max(H^H H / M) <= trace(H^H H) / M. After 3 plain steps (and
+    again after that change) each step also subtracts beta times the
+    iterate before, a heavy-ball term with beta = (0.95 lambda)^2 / 4 from
+    the Rayleigh quotient lambda (Xu et al. 2018). The iteration ends once
+    the unit iterate moves by at most 1e-2 in one step, or after
+    ``init_power_iters`` steps. It then scales the unit eigenvector v to
+    ||z0|| = sqrt(N * mean(b) / mean(||h_r||^2)) so that ||z0||^2
+    estimates the signal energy. The iteration runs in the operator's
+    precision, and z0 has its dtype.
     """
     lin = op if isinstance(op, _LinOp) else _LinOp(_dense(op, "spectral_init"))
     m, n = lin.shape
@@ -406,22 +442,45 @@ def spectral_init(op: np.ndarray | _LinOp, b: np.ndarray, params: WFParams,
     mean_b = float(np.mean(b))
     if not np.any(b > 0):
         raise ValueError("zero measurement vector")
-    w = (np.where(b <= params.trunc_y * mean_b, b, 0.0) / m).astype(lin.real, copy=False)
+    # T = 1 - mean(b) / b, written so b = 0 divides by mean(b) / 2 and reads -1
+    w = np.maximum(b, 0.5 * mean_b)
+    np.divide(mean_b, w, out=w)
+    np.subtract(1.0, w, out=w)
+    energy = float(np.mean(lin.row_norms**2))  # mean ||h_r||^2
+    bound = max(0.0, -float(w.min())) * energy  # -min T * trace(H^H H) / M
+    negative = int(np.count_nonzero(w < 0))  # M_-
+    shift = 1.1 * bound * (math.sqrt(negative) + math.sqrt(n))**2 / (m * n)
+    w /= m
+    w = w.astype(lin.real, copy=False)
     v = complex_normal(generator(seed), n).astype(lin.op.dtype, copy=False)
-    v /= np.linalg.norm(v)
+    v /= _norm(v)
+    v_prev, nu = v, 1.0  # the iterate before v is v_prev / nu, to v's scale
+    beta, plain = 0.0, 0
     for _ in range(params.init_power_iters):
-        v_prev = v
-        v = lin.rmatvec(lin.matvec(v) * w)
-        nv = np.linalg.norm(v)
-        if nv == 0:
-            # truncated covariance annihilated the iterate; restart direction
-            v = np.ones(n, dtype=lin.op.dtype)
-            nv = np.linalg.norm(v)
-        v /= nv
-        if np.linalg.norm(v - v_prev) <= _SPECTRAL_STEP_TOL:
+        u = lin.rmatvec(lin.matvec(v) * w)
+        u += shift * v
+        rho = float(np.vdot(v, u).real)  # the Rayleigh quotient of D + sI
+        if rho < 0:
+            # D + sI has an eigenvalue <= rho < 0, so the estimate was too
+            # small: shift by the bound, and start over with plain steps
+            u += (bound - shift) * v
+            rho += bound - shift
+            shift, beta, plain = bound, 0.0, 0
+        plain += 1
+        if plain == 4:
+            beta = (0.95 * rho)**2 / 4
+        if beta:
+            u -= (beta / nu) * v_prev
+        nu = _norm(u)
+        if nu == 0:
+            # the operator annihilated the iterate; restart direction
+            u = np.ones(n, dtype=lin.op.dtype)
+            nu, beta, plain = _norm(u), 0.0, 0
+        u /= nu
+        v_prev, v = v, u
+        if _norm(v - v_prev) <= _SPECTRAL_STEP_TOL:
             break
-    scale = math.sqrt(n * mean_b / float(np.mean(lin.row_norms**2)))
-    return scale * v
+    return math.sqrt(n * mean_b / energy) * v
 
 
 class _Run(NamedTuple):
@@ -434,25 +493,42 @@ class _Run(NamedTuple):
     reason: StopReason
 
 
-def _stop_reason(trace: list[float], iterations: int, tol: float,
-                 max_iters: int) -> StopReason | None:
+def _stop_reason(trace: list[float], iterations: int, tol: float, max_iters: int,
+                 predict: bool = False) -> StopReason | None:
     """The stop policy every solver run shares; None means iterate again.
 
     ``trace`` holds the residuals so far, ``iterations`` the updates made.
     Stops on "tol" once the last residual reaches ``tol``, on "stall" once
-    it differs by less than ``_STALL_RTOL`` (relative) from the residual
-    ``_STALL_WINDOW`` entries earlier, and on "max_iters" at the cap. A
-    residual that keeps growing is not a stall. Raises :class:`Diverged` on
-    a non-finite residual.
+    the run has reached its plateau, and on "max_iters" at the cap. With
+    ``predict`` (momentum WF and alternating projections) the plateau is
+    predicted: once more than 10 residuals exist, with a, b, c the
+    residuals 8, 4 and 0 entries back, the run stalls when |b - c| is below
+    ``_STALL_RTOL`` c, or when 0 < b - c < a - b and the geometric
+    extrapolation of the remaining fall, (b - c)^2 / ((a - b) - (b - c)),
+    is below ``_STALL_RTOL`` c. On a geometric decay that extrapolation is
+    c itself, so a noiseless run goes on to "tol"; the 4-step lags read a
+    period-2 oscillation at one phase. Without ``predict`` (the phase tuner
+    and gaussian-loss WF) it stalls once the last residual differs by less
+    than ``_STALL_RTOL`` (relative) from the one ``_STALL_WINDOW`` entries
+    earlier. A residual that keeps growing is not a stall. Raises
+    :class:`Diverged` on a non-finite residual.
     """
     resid = trace[-1]
     if not math.isfinite(resid):
         raise Diverged(f"residual became {resid} after {iterations} iterations")
     if resid <= tol:
         return "tol"
-    w = _STALL_WINDOW
-    if len(trace) > w and abs(trace[-1 - w] - resid) < _STALL_RTOL * trace[-1 - w]:
-        return "stall"
+    if predict:
+        if len(trace) > _PLATEAU_MIN:
+            lag = _PLATEAU_LAG
+            a, b = trace[-1 - 2 * lag], trace[-1 - lag]
+            fall, before = b - resid, a - b
+            if abs(fall) < _STALL_RTOL * resid or (
+                    0 < fall < before and fall * fall < _STALL_RTOL * resid * (before - fall)):
+                return "stall"
+    elif len(trace) > _STALL_WINDOW:
+        if abs(trace[-1 - _STALL_WINDOW] - resid) < _STALL_RTOL * trace[-1 - _STALL_WINDOW]:
+            return "stall"
     if iterations >= max_iters:
         return "max_iters"
     return None
@@ -590,9 +666,11 @@ def wf_solve(
                 move = None
                 continue
             trace.append(resid)
-            reason = _stop_reason(trace, iterations, params.tol, params.max_iters)
-            if reason is not None:
-                break
+            if not empty_streak:  # an empty set repeats; it ends in NonProgress, not a stall
+                reason = _stop_reason(trace, iterations, params.tol, params.max_iters,
+                                      predict=bool(momentum))
+                if reason is not None:
+                    break
             if len(trace) > 1 and resid > trace[-2]:
                 move = None  # the adaptive restart: the residual rose
             absv2 = absv * absv
@@ -730,7 +808,8 @@ def _unit_modulus(d: np.ndarray) -> np.ndarray:
 def _project_run(lsq: LeastSquaresOperator, target: np.ndarray, norm_target: float,
                  x: np.ndarray, params: APParams,
                  project: Callable[[np.ndarray], np.ndarray] | None = None,
-                 full: Callable[[], LeastSquaresOperator] | None = None) -> _Run:
+                 full: Callable[[], LeastSquaresOperator] | None = None,
+                 predict: bool = False) -> _Run:
     """One alternating-projections run from ``x``, ended by the stop policy.
 
     Each iteration projects the image H x onto the modulus set |.| = target,
@@ -739,7 +818,8 @@ def _project_run(lsq: LeastSquaresOperator, target: np.ndarray, norm_target: flo
     computes in the precision of the factor's H; on a complex64 factor it
     switches to the complex128 factor ``full()`` the first time its residual
     is at most 1e-5. The |image| behind each residual also gives the next
-    step's phase.
+    step's phase. ``predict`` selects the stop policy's predicted plateau
+    (alternating projections) over its window (the tuner).
     """
     mag = target.astype(np.finfo(lsq.h.dtype).dtype, copy=False)
     mx = lsq.h @ x.astype(lsq.h.dtype, copy=False)
@@ -753,7 +833,7 @@ def _project_run(lsq: LeastSquaresOperator, target: np.ndarray, norm_target: flo
         mx = lsq.h @ x
         absmx = np.abs(mx)
         trace.append(float(np.linalg.norm(absmx - mag)) / norm_target)
-        reason = _stop_reason(trace, len(trace), params.tol, params.max_iters)
+        reason = _stop_reason(trace, len(trace), params.tol, params.max_iters, predict=predict)
         if reason is None and trace[-1] <= _FINISH_RESID and mag.dtype != np.float64:
             # from here on the image carries more digits than complex64 holds;
             # the complex64 factor is let go first, so full() can free it
@@ -823,7 +903,7 @@ def altproj_solve(
         return lsq
 
     def iterate(z: np.ndarray) -> _Run:
-        return _project_run(lsq, a, norm_a, z, params, full=full)
+        return _project_run(lsq, a, norm_a, z, params, full=full, predict=True)
 
     best, used, init_s, iter_s = _best_restart(start, iterate, restarts)
     return _finish(t0, params.tol, best, used, init_s, iter_s - finish_s, factor_s + finish_s)

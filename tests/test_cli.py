@@ -473,6 +473,29 @@ def test_config_rejects_unknown_solver_keys(tmp_path, capsys):
     assert not (tmp_path / "inst").exists()
 
 
+def test_config_rejects_the_retired_trunc_y(tmp_path, capsys):
+    # the truncated spectral start read WFParams.trunc_y; the start that
+    # replaced it has no such knob, and a config that still sets it is refused
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"solver": {"kind": "wf", "params": {"trunc_y": 9.0}}}))
+    assert run_cli(["sweep-n", "--n-list", "32", "--trials", "1", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: unknown WFParams fields: ['trunc_y']")
+    assert "Traceback" not in err
+
+
+def test_noiseless_sweep_stops_every_block_on_tol(tmp_path):
+    # with the truncated spectral start, trial 24 of this sweep left one block
+    # stalled at residual 0.29 (trial NMSE 0.498), and nmse_mean read 0.0199
+    # against a median of 3.8e-16, with exit code 0
+    out = tmp_path / "sweep.json"
+    assert run_cli(["sweep-n", "--n-list", "256", "--snr", "inf", "--trials", "25",
+                    "--seed", "903", "--format", "json", "--out", str(out)]) == 0
+    (row,) = json.loads(out.read_text())
+    assert row["block_tol"] == 100
+    assert row["nmse_mean"] < 1e-10
+
+
 @pytest.mark.parametrize("value", ["tuner", "wf", "altproj"])
 @pytest.mark.parametrize("command", ["solve", "sweep-n"])
 def test_tune_solver_flag_is_gone(instance_dir, capsys, command, value):
