@@ -111,7 +111,7 @@ def _add_seed_out_flags(p: argparse.ArgumentParser):
 
 def _add_solver_flags(p: argparse.ArgumentParser):
     p.add_argument("--solver", help="base solver: wf|altproj")
-    p.add_argument("--restarts", type=int, help="base solver restarts")
+    p.add_argument("--restarts", type=int, help="most restarts per block solve (a cap)")
     p.add_argument("--parallelism", type=_positive_int, help="max concurrent block solves")
 
 
@@ -242,6 +242,7 @@ def _cmd_solve(args, solver: SolverSpec) -> int:
         "tuning_s": out.stage_times.tuning_s,
         "merge_s": out.stage_times.merge_s,
         "block_iterations": [r.iterations for r in out.per_block_reports],
+        "block_restarts_used": [r.restarts_used for r in out.per_block_reports],
         "block_residuals": [r.final_residual for r in out.per_block_reports],
         "converged_blocks": [r.converged for r in out.per_block_reports],
         "tuning_converged": out.tuning_report.converged,
@@ -250,6 +251,8 @@ def _cmd_solve(args, solver: SolverSpec) -> int:
         "block_iter_s": [r.iter_s for r in out.per_block_reports],
         "block_factor_s": [r.factor_s for r in out.per_block_reports],
         "tuning_stop_reason": out.tuning_report.stop_reason,
+        "tuning_iterations": out.tuning_report.iterations,
+        "tuning_restarts_used": out.tuning_report.restarts_used,
     }
     if x is not None:
         from .forward import nmse

@@ -4,10 +4,9 @@ Three solvers share one calling convention (measurements in, estimate and
 :class:`SolverReport` out, explicit seed):
 
 * :func:`wf_solve` -- truncated Wirtinger flow on intensity measurements,
-  spectrally initialized. On the Poisson loss each step adds a heavy-ball
-  momentum term, 0.6 times the previous step (Polyak 1964), and drops it
-  for the next step after the residual rose (an adaptive restart,
-  O'Donoghue & Candes 2015); the gaussian loss takes plain gradient steps.
+  spectrally initialized. Each step adds a heavy-ball momentum term, 0.6
+  times the previous step (Polyak 1964), and drops it for the next step
+  after the residual rose (an adaptive restart, O'Donoghue & Candes 2015).
 * :func:`altproj_solve` -- alternating projections on the magnitudes, the
   square roots of the intensity measurements, alternating between the data
   modulus constraint and the operator range. The Gram matrix G = H^H H is
@@ -21,25 +20,24 @@ Three solvers share one calling convention (measurements in, estimate and
   every update.
 
 Every solver is a pure function of (problem, params, seed): restarts use
-seeds derived with :func:`blockpr.rng.mix_seed`, the winner is the restart
-with the lowest final residual (ties to the lowest restart index), and a
-restart that reaches the tolerance stops the restart loop early. Residuals
-are the relative magnitude misfit || |H z| - sqrt(y) || / || sqrt(y) || of
-an estimate z to the intensities y.
+seeds derived with :func:`blockpr.rng.mix_seed`, and the winner is the
+restart with the lowest final residual (ties to the lowest restart index).
+Residuals are the relative magnitude misfit || |H z| - sqrt(y) || / || sqrt(y) ||
+of an estimate z to the intensities y.
 
-All three share one stop policy (:func:`_stop_reason`): a run ends when its
-residual reaches ``tol``, when it stalls (on noisy data ``tol`` is out of
+All three share one stop rule (:func:`_stop_reason`): a run ends when its
+residual reaches ``tol``, when it stalls on a plateau predicted by a
+geometric extrapolation of the residuals (on noisy data ``tol`` is out of
 reach and the plateau is the answer), or at ``max_iters``, and
-:class:`SolverReport.stop_reason` says which. Momentum WF and alternating
-projections stall on a plateau predicted by a geometric extrapolation of
-the residuals; the phase tuner and gaussian-loss WF once the residual moved
-by less than 1e-3, relative, over the last 20 iterations. A non-finite
-residual raises :class:`Diverged`; alternating projections carry a NaN or
-infinite image into the residual rather than mapping its phase to 1. The
-spectral start ends its power iteration once the unit iterate stops moving,
-and the phase tuner ends its restart loop once a restart's final residual
-agrees with the best before it. The report also splits the wall time into starting points,
-iterations and the Gram factorization.
+:class:`SolverReport.stop_reason` says which. They also share one restart
+rule (:func:`_best_restart`): the restart count is a cap, and the loop ends
+after a restart that stopped on "tol", or on "stall" within 1e-3 (relative)
+of the best restart before it. A non-finite residual raises
+:class:`Diverged`; alternating projections carry a NaN or infinite image
+into the residual rather than mapping its phase to 1. The spectral start
+ends its power iteration once the unit iterate stops moving. The report
+also splits the wall time into starting points, iterations and the Gram
+factorization.
 
 The solvers run on dense operators only: the pipeline hands them one
 diagonal block at a time, and a :class:`~blockpr.core.KRBDMatrix` raises
@@ -92,25 +90,24 @@ __all__ = [
 SolverKind = Literal["wf_truncated", "alt_proj", "unit_modulus_tuner"]
 StopReason = Literal["tol", "stall", "max_iters"]
 
-# the stall stop (_stop_reason). Momentum WF and alternating projections
-# predict their plateau from the residuals _PLATEAU_LAG apart, once more than
-# _PLATEAU_MIN exist; the phase tuner and gaussian-loss WF stall once the
-# residual moved by less than _STALL_RTOL, relative, over the last
-# _STALL_WINDOW iterations. The spectral start's power iteration ends once
-# ||v_k - v_{k-1}|| <= _SPECTRAL_STEP_TOL (unit iterates); init_power_iters
-# stays the cap. Per block, against the window and the truncated start it
-# replaced (weights b_r [b_r <= 9 mean(b)]), on trial seeds mix_seed(S, 2, N, t)
+# the stall stop (_stop_reason). Every solver predicts its plateau from the
+# residuals _PLATEAU_LAG apart, once more than _PLATEAU_MIN exist, and stalls
+# once the predicted remaining fall is below _STALL_RTOL, relative; restarts
+# whose stalls agree to _STALL_RTOL end the restart loop (_best_restart). The
+# spectral start's power iteration ends once ||v_k - v_{k-1}|| <=
+# _SPECTRAL_STEP_TOL (unit iterates); init_power_iters stays the cap. Per block,
+# against the rule it replaced (a stall once the residual moved by less than
+# _STALL_RTOL over the last 20 iterations, the "window") and the truncated
+# start (weights b_r [b_r <= 9 mean(b)]), on trial seeds mix_seed(S, 2, N, t)
 # with solver seeds block_seed(trial, i):
 #
 #   blocks                      start      stop     iters       power  block     wrong
 #                                                   mean / p99  steps  NMSE      (> 0.1)
 #   WF, SNR 30, N = 2048,       truncated  window    48.5 / 76  24.7   1.168e-3   0
 #   96 of 768 x 128 (S = 900)   truncated  predict   24.2 / 31  24.7   1.199e-3   0
-#                               optimal    window    42.8 / 71  24.0   1.150e-3   0
 #                               optimal    predict   19.1 / 25  24.0   1.164e-3   0
 #   WF, SNR 30, N = 512, alpha  truncated  window   112.5 / 400 25.6   2.634e-3  14
 #   4, 200 of 512 x 128 (901)   truncated  predict   73.3 / 166 25.6   2.850e-3  25
-#                               optimal    window    68.7 / 133 31.1   2.598e-3   0
 #                               optimal    predict   39.6 / 66  31.1   2.744e-3   0
 #   AP, SNR 30, N = 1024,       truncated  window    55.3 / 75  24.7   2.067e-3   0
 #   80 of 768 x 128 (902)       optimal    predict   24.6 / 41  25.0   2.047e-3   0
@@ -126,15 +123,20 @@ StopReason = Literal["tol", "stall", "max_iters"]
 # only the negative-weight ones, a start took 28.5 power steps at N = 2048
 # (36.0 at alpha 4) for the same correlation with the signal (median 0.873,
 # minimum 0.821). The predicted stop needs the optimal start: with the
-# truncated one it sends 25 blocks wrong at alpha 4, against 14. With the
-# predicted stop on gaussian-loss WF and the tuner too, acceptance criterion 4
-# read a median NMSE of 9.71e-4 and 1.02e-3 against its 1e-3 gate (8.80e-4 and
-# 9.44e-4 with the window), so those keep the window. The window and the
-# spectral tolerance were picked together with the truncated start: windows of
-# 15 to 30 ran 74 to 90 WF iterations per block, rtol 4e-4 cost 9% more for no
-# NMSE gain, and a spectral tolerance above 1e-2 saved at most 5 power steps
-# per start while 3e-2 sent the baseline from 93 to 326 WF iterations.
-_STALL_WINDOW = 20
+# truncated one it sends 25 blocks wrong at alpha 4, against 14.
+#
+# The phase tuner and gaussian-loss WF left the window last. Gaussian-loss WF
+# needed the heavy-ball step (see _WF_MOMENTUM): with plain steps on the
+# predicted stop, acceptance criterion 4 read 9.71e-4 and 1.02e-3 against its
+# 1e-3 gate. The tuner needed its restarts to agree at _STALL_RTOL, the stop's
+# own resolution: at its old 1e-6 they almost never agree on the predicted stop
+# (47.8 of 50 restarts on average at N = 512). At _STALL_RTOL, on 30 SNR-30
+# instances per size (trial seeds mix_seed(77, 2, N, i)), the tuner takes 2.1
+# to 2.2 restarts on average (at most 4), and its iterations fall against the
+# window from 44.2 to 24.6 (N = 2048, WF), 42.6 to 18.7 (N = 1024, AP) and 35.5
+# to 15.0 (N = 512, WF), at instance NMSE medians within 0.6%. A spectral
+# tolerance above 1e-2 saved at most 5 power steps per start, while 3e-2 sent
+# the baseline from 93 to 326 WF iterations.
 _STALL_RTOL = 1e-3
 _PLATEAU_LAG = 4
 _PLATEAU_MIN = 10
@@ -145,7 +147,7 @@ _SPECTRAL_STEP_TOL = 1e-2
 # could not stop on "tol"; at SNR 30 the residual floors near 0.04 and the
 # switch never happens
 _FINISH_RESID = 1e-5
-# beta of wf_solve's heavy-ball step on the Poisson loss. Picked on SNR-30
+# beta of wf_solve's heavy-ball step on either loss. Picked on SNR-30
 # instances (trial seeds mix_seed(500, 2, N, i): 30 at N = 2048, 480 blocks;
 # 400 at N = 512, 1600 blocks; blocks of 768 x 128) and 20 noiseless N = 256
 # instances (80 blocks of 384 x 64), with and without the restart on a
@@ -168,11 +170,19 @@ _FINISH_RESID = 1e-5
 # iterations and the "max_iters" stops from 1 to 0 (plain gradient steps: 9).
 # At SNR 10 and 20 the two read alike. One case went the other way: at
 # step_size 0.4 the restart sent 7 of 200 N = 512 blocks to max_iters, and
-# no restart none.
+# no restart none. The gaussian loss takes the same beta. Against its plain
+# steps under the window stop, on 30 instances per setting (trial seeds
+# mix_seed(78, 2, N, i), restarts=1): at criterion 4's settings (step_size
+# 0.1, trunc_h 8) a block's mean iterations fall from 148 to 49 (N = 256) and
+# from 145 to 48 (N = 512); at the default step 0.2 and N = 512 the instance
+# NMSE median falls from 4.29e-3 to 1.05e-3 at SNR 30 ("max_iters" stops 10 ->
+# 2 of 120 blocks) and from 3.1e-3 to 5.4e-16 noiseless ("tol" stops 12 ->
+# 115), where the window read a steady zigzag as a plateau. The cost is
+# criterion 4 itself (100 trials per size, restarts=2): its medians go from
+# 8.80e-4 to 9.20e-4 and from 9.44e-4 to 9.66e-4, a paired per-trial ratio
+# with median 1.037 and 1.030. No run diverged in 640 gaussian-loss trials
+# (steps 0.1 and 0.15; SNR 10, 20, 30 and noiseless; N = 256 and 512).
 _WF_MOMENTUM = 0.6
-# the phase tuner's restart loop ends once a restart's final residual agrees
-# with the best so far to this relative tolerance; restarts stays the cap
-_TUNE_AGREE_RTOL = 1e-6
 # LeastSquaresOperator uses the Cholesky factor R of H^H H only when LAPACK's
 # estimate of R's reciprocal 1-norm condition number is at least this. R's
 # error grows as cond(H)^2, and so does the orthogonality of Q = H R^-1 (one
@@ -244,7 +254,7 @@ class WFParams:
     and are freely tunable; they are not calibrated against any external
     implementation.
 
-    ``loss`` selects the residual weighting: "poisson" divides each
+    ``loss`` selects only the residual weighting: "poisson" divides each
     residual by its own |v_r|^2 (the classical TWF likelihood weight),
     "gaussian" divides by mean(b), which is the variance-matched choice
     when i.i.d. Gaussian noise sits on the intensities and reaches a
@@ -300,7 +310,7 @@ class SolverSpec:
 
     ``params`` must match the kind: :class:`WFParams` for "wf_truncated",
     :class:`APParams` for "alt_proj" and "unit_modulus_tuner"; None means
-    that class's defaults.
+    that class's defaults. ``restarts`` is a cap (:func:`_best_restart`).
     """
 
     kind: SolverKind
@@ -354,14 +364,11 @@ class SolverReport:
             raise ValueError(f"unknown stop_reason {self.stop_reason!r}")
 
 
-_ROW_CHUNK = 256
-
-
 def _row_norms(h: np.ndarray) -> np.ndarray:
-    """Row 2-norms, taken over row chunks so no |h|^2 temporary as large as h is made."""
-    return np.concatenate([
-        np.linalg.norm(h[i:i + _ROW_CHUNK], axis=1) for i in range(0, h.shape[0], _ROW_CHUNK)
-    ])
+    """Row 2-norms in h's precision, summed over its (re, im) float view: no temporary."""
+    h = np.ascontiguousarray(h)
+    p = h.view(np.finfo(h.dtype).dtype).reshape(h.shape[0], -1)
+    return np.sqrt(np.einsum("ij,ij->i", p, p))
 
 
 def _norm(v: np.ndarray) -> float:
@@ -493,41 +500,33 @@ class _Run(NamedTuple):
     reason: StopReason
 
 
-def _stop_reason(trace: list[float], iterations: int, tol: float, max_iters: int,
-                 predict: bool = False) -> StopReason | None:
-    """The stop policy every solver run shares; None means iterate again.
+def _stop_reason(trace: list[float], iterations: int, tol: float,
+                 max_iters: int) -> StopReason | None:
+    """The stop rule every solver run shares; None means iterate again.
 
     ``trace`` holds the residuals so far, ``iterations`` the updates made.
     Stops on "tol" once the last residual reaches ``tol``, on "stall" once
-    the run has reached its plateau, and on "max_iters" at the cap. With
-    ``predict`` (momentum WF and alternating projections) the plateau is
-    predicted: once more than 10 residuals exist, with a, b, c the
-    residuals 8, 4 and 0 entries back, the run stalls when |b - c| is below
+    the run has reached its predicted plateau, and on "max_iters" at the
+    cap. Once more than 10 residuals exist, with a, b, c the residuals 8, 4
+    and 0 entries back, the run stalls when |b - c| is below
     ``_STALL_RTOL`` c, or when 0 < b - c < a - b and the geometric
     extrapolation of the remaining fall, (b - c)^2 / ((a - b) - (b - c)),
     is below ``_STALL_RTOL`` c. On a geometric decay that extrapolation is
     c itself, so a noiseless run goes on to "tol"; the 4-step lags read a
-    period-2 oscillation at one phase. Without ``predict`` (the phase tuner
-    and gaussian-loss WF) it stalls once the last residual differs by less
-    than ``_STALL_RTOL`` (relative) from the one ``_STALL_WINDOW`` entries
-    earlier. A residual that keeps growing is not a stall. Raises
-    :class:`Diverged` on a non-finite residual.
+    period-2 oscillation at one phase. A residual that keeps growing is not
+    a stall. Raises :class:`Diverged` on a non-finite residual.
     """
     resid = trace[-1]
     if not math.isfinite(resid):
         raise Diverged(f"residual became {resid} after {iterations} iterations")
     if resid <= tol:
         return "tol"
-    if predict:
-        if len(trace) > _PLATEAU_MIN:
-            lag = _PLATEAU_LAG
-            a, b = trace[-1 - 2 * lag], trace[-1 - lag]
-            fall, before = b - resid, a - b
-            if abs(fall) < _STALL_RTOL * resid or (
-                    0 < fall < before and fall * fall < _STALL_RTOL * resid * (before - fall)):
-                return "stall"
-    elif len(trace) > _STALL_WINDOW:
-        if abs(trace[-1 - _STALL_WINDOW] - resid) < _STALL_RTOL * trace[-1 - _STALL_WINDOW]:
+    if len(trace) > _PLATEAU_MIN:
+        lag = _PLATEAU_LAG
+        a, b = trace[-1 - 2 * lag], trace[-1 - lag]
+        fall, before = b - resid, a - b
+        if abs(fall) < _STALL_RTOL * resid or (
+                0 < fall < before and fall * fall < _STALL_RTOL * resid * (before - fall)):
             return "stall"
     if iterations >= max_iters:
         return "max_iters"
@@ -535,16 +534,17 @@ def _stop_reason(trace: list[float], iterations: int, tol: float, max_iters: int
 
 
 def _best_restart(start: Callable[[int], np.ndarray], iterate: Callable[[np.ndarray], _Run],
-                  restarts: int, agree_rtol: float | None = None
-                  ) -> tuple[_Run, int, float, float]:
+                  restarts: int) -> tuple[_Run, int, float, float]:
     """Run restarts 0, 1, ... and return (winner, restarts used, init_s, iter_s).
 
     Restart r iterates from ``start(r)``; init_s and iter_s sum the seconds
     spent in ``start`` and ``iterate`` over the restarts run. The winner
-    has the lowest final residual, ties to the lowest restart index. The
-    loop ends after a restart that stopped on "tol" or, with
-    ``agree_rtol``, after one whose final residual agrees with the best
-    before it to that relative tolerance.
+    has the lowest final residual, ties to the lowest restart index.
+    ``restarts`` is a cap: the loop ends after a restart that stopped on
+    "tol", and after one that stopped on "stall" with a final residual
+    within ``_STALL_RTOL`` (relative) of the best before it, the stop
+    rule's own resolution. A restart that stopped on "max_iters" never
+    ends the loop.
     """
     best = None
     init_s = iter_s = 0.0
@@ -555,8 +555,8 @@ def _best_restart(start: Callable[[int], np.ndarray], iterate: Callable[[np.ndar
         cur = iterate(x0)
         init_s += t1 - t0
         iter_s += time.perf_counter() - t1
-        agrees = (agree_rtol is not None and best is not None
-                  and abs(cur.residual - best.residual) <= agree_rtol * best.residual)
+        agrees = (cur.reason == "stall" and best is not None
+                  and abs(cur.residual - best.residual) <= _STALL_RTOL * best.residual)
         if best is None or cur.residual < best.residual:
             best = cur
         if cur.reason == "tol" or agrees:
@@ -611,12 +611,12 @@ def wf_solve(
     sqrt(N) |v_r| / (||h_r|| ||z||) lies in [trunc_lb, trunc_ub] and the
     data deviation |b_r - |v_r|^2| is at most
     (trunc_h / M) ||b - |Hz|^2||_1 times that magnitude. The momentum term
-    keeps the Poisson loss's fixed points. It is dropped from the next step
-    when the residual rose (the adaptive restart), when the run has just
+    keeps the loss's fixed points. It is dropped from the next step when
+    the residual rose (the adaptive restart), when the run has just
     switched to complex128, and when E was empty. With ``loss="gaussian"``
-    the |v_r|^2 denominator becomes mean(b) (see :class:`WFParams`) and the
-    steps are plain gradient steps, beta = 0. Stops by the shared stop
-    policy (module docstring).
+    the |v_r|^2 denominator becomes mean(b) (see :class:`WFParams`); the
+    step is the same. Stops by the shared stop and restart rules (module
+    docstring).
     The start and the iteration run in the operator's precision; on a
     complex64 operator the run switches to a complex128 copy of it the
     first time its residual is at most 1e-5, so noiseless runs still reach
@@ -635,10 +635,8 @@ def wf_solve(
     if norm_a == 0:
         raise ValueError("zero measurement vector")
     step = 2 * params.step_size / m
-    momentum = _WF_MOMENTUM
     if params.loss == "gaussian":
         step /= float(np.mean(b))
-        momentum = 0.0
 
     start, restarts = _starts(z0, n, restarts,
                               lambda r: spectral_init(lin, b, params, mix_seed(seed, r)))
@@ -667,8 +665,7 @@ def wf_solve(
                 continue
             trace.append(resid)
             if not empty_streak:  # an empty set repeats; it ends in NonProgress, not a stall
-                reason = _stop_reason(trace, iterations, params.tol, params.max_iters,
-                                      predict=bool(momentum))
+                reason = _stop_reason(trace, iterations, params.tol, params.max_iters)
                 if reason is not None:
                     break
             if len(trace) > 1 and resid > trace[-2]:
@@ -702,10 +699,9 @@ def wf_solve(
                 np.multiply(absv2 - y, keep, out=coeff)
             update = step * op.rmatvec(coeff * v)
             if move is not None:
-                update += momentum * move
+                update += _WF_MOMENTUM * move
             z = z - update
-            if momentum:
-                move = update
+            move = update
             v = op.matvec(z)
         return _Run(z.astype(np.complex128, copy=False), resid, iterations, trace, reason)
 
@@ -808,9 +804,8 @@ def _unit_modulus(d: np.ndarray) -> np.ndarray:
 def _project_run(lsq: LeastSquaresOperator, target: np.ndarray, norm_target: float,
                  x: np.ndarray, params: APParams,
                  project: Callable[[np.ndarray], np.ndarray] | None = None,
-                 full: Callable[[], LeastSquaresOperator] | None = None,
-                 predict: bool = False) -> _Run:
-    """One alternating-projections run from ``x``, ended by the stop policy.
+                 full: Callable[[], LeastSquaresOperator] | None = None) -> _Run:
+    """One alternating-projections run from ``x``, ended by the stop rule.
 
     Each iteration projects the image H x onto the modulus set |.| = target,
     then back onto the range of H: x <- ``lsq.solve(target * phase(H x))``,
@@ -818,8 +813,7 @@ def _project_run(lsq: LeastSquaresOperator, target: np.ndarray, norm_target: flo
     computes in the precision of the factor's H; on a complex64 factor it
     switches to the complex128 factor ``full()`` the first time its residual
     is at most 1e-5. The |image| behind each residual also gives the next
-    step's phase. ``predict`` selects the stop policy's predicted plateau
-    (alternating projections) over its window (the tuner).
+    step's phase.
     """
     mag = target.astype(np.finfo(lsq.h.dtype).dtype, copy=False)
     mx = lsq.h @ x.astype(lsq.h.dtype, copy=False)
@@ -833,7 +827,7 @@ def _project_run(lsq: LeastSquaresOperator, target: np.ndarray, norm_target: flo
         mx = lsq.h @ x
         absmx = np.abs(mx)
         trace.append(float(np.linalg.norm(absmx - mag)) / norm_target)
-        reason = _stop_reason(trace, len(trace), params.tol, params.max_iters, predict=predict)
+        reason = _stop_reason(trace, len(trace), params.tol, params.max_iters)
         if reason is None and trace[-1] <= _FINISH_RESID and mag.dtype != np.float64:
             # from here on the image carries more digits than complex64 holds;
             # the complex64 factor is let go first, so full() can free it
@@ -862,7 +856,7 @@ def altproj_solve(
 
     Starts from :func:`spectral_init` on a^2 (or from ``z0``) and iterates
     v <- a * phase(H z), z <- argmin ||H z - v|| until the shared stop
-    policy ends the run (module docstring). The Gram matrix G = H^H H is
+    rule ends the run (module docstring). The Gram matrix G = H^H H is
     factored once (:class:`LeastSquaresOperator`), and each step is
     z <- G^-1 H^H (a * phase(H z)) (see :func:`_project_run`): two products
     with the block and one with the n x n G^-1. The iteration runs in the
@@ -903,7 +897,7 @@ def altproj_solve(
         return lsq
 
     def iterate(z: np.ndarray) -> _Run:
-        return _project_run(lsq, a, norm_a, z, params, full=full, predict=True)
+        return _project_run(lsq, a, norm_a, z, params, full=full)
 
     best, used, init_s, iter_s = _best_restart(start, iterate, restarts)
     return _finish(t0, params.tol, best, used, init_s, iter_s - finish_s, factor_s + finish_s)
@@ -921,11 +915,11 @@ def unit_modulus_tune(
     Alternating projections as in :func:`altproj_solve`, through the same
     Gram factor of B, in complex128, but after every least-squares update
     each entry is pulled back to the unit circle (entries with modulus
-    < 1e-14 reset to 1), so the output always has |d_i| = 1. The restart
-    loop also ends once a restart's final residual agrees with the best
-    before it to 1e-6 (relative): on noisy data restarts land on the same
-    floor, and the cap of 50 only matters when they do not. A zero y_t
-    returns all-ones, flagged non-converged.
+    < 1e-14 reset to 1), so the output always has |d_i| = 1. It stops by
+    the shared stop and restart rules (module docstring): on noisy data
+    restarts stall on the same floor and agree to 1e-3, so the loop ends
+    after about 2 restarts, and the cap of 50 only matters when they do
+    not. A zero y_t returns all-ones, flagged non-converged.
     """
     params = params or APParams()
     b_mat = np.asarray(tuning_matrix, dtype=np.complex128)
@@ -949,8 +943,7 @@ def unit_modulus_tune(
     def iterate(d: np.ndarray) -> _Run:
         return _project_run(lsq, y_t, norm_y, d, params, _unit_modulus)
 
-    return _finish(t0, params.tol, *_best_restart(start, iterate, restarts, _TUNE_AGREE_RTOL),
-                   factor_s)
+    return _finish(t0, params.tol, *_best_restart(start, iterate, restarts), factor_s)
 
 
 def solve_pr(instance: PRInstance, spec: SolverSpec) -> tuple[np.ndarray, SolverReport]:

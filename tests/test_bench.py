@@ -241,17 +241,16 @@ def small_cfg(**kw):
 
 
 def test_sweep_n_monotone_cost():
-    # gaussian-loss WF stops on the 20-iteration stall window (momentum WF
-    # predicts its plateau, and can stop after 10): 16 iterations lie below
-    # the window and noisy runs never reach tol, so every restart runs
-    # exactly 16 iterations and cost grows with N by construction; 50
-    # restarts give each block 800 iterations. One sweep's reading is still
-    # noise-bound (a scheduler hiccup can swap two neighbouring points, and
-    # load on a shared machine drifts between sweeps), so the gate reads each
-    # point's median over five timed sweeps that alternate ascending and
-    # descending N
-    params = WFParams(max_iters=16, loss="gaussian", step_size=0.1)
-    assert params.max_iters < solvers._STALL_WINDOW
+    # a WF run stalls only once more than _PLATEAU_MIN residuals exist, and
+    # 9 iterations leave 10; noisy runs never reach tol, and a restart capped
+    # at max_iters never ends the restart loop, so every one of the 50
+    # restarts runs exactly 9 iterations and cost grows with N by
+    # construction. One sweep's reading is still noise-bound (a scheduler
+    # hiccup can swap two neighbouring points, and load on a shared machine
+    # drifts between sweeps), so the gate reads each point's median over five
+    # timed sweeps that alternate ascending and descending N
+    params = WFParams(max_iters=9)
+    assert params.max_iters < solvers._PLATEAU_MIN
     cfg = small_cfg(snr_db=30.0, trials=2,
                     solver=SolverSpec("wf_truncated", params, restarts=50))
     n_list = [64, 128, 256]

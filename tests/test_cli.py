@@ -9,7 +9,9 @@ from blockpr.bench import CSV_COLUMNS
 from blockpr.cli import _load_instance, main
 from blockpr.core import KRBDMatrix
 from blockpr.io import load_bpr1, save_bpr1
+from blockpr.pipeline import block_pr_solve
 from blockpr.rng import complex_normal, generator
+from blockpr.solvers import SolverSpec
 
 
 def run_cli(args):
@@ -41,10 +43,31 @@ def test_gen_then_solve_round_trip(tmp_path, capsys):
     assert report["k"] == 2
     assert report["nmse"] is not None and report["nmse"] <= 1e-6
     assert report["block_stop_reasons"] == ["tol", "tol"]
+    assert report["block_restarts_used"] == [1, 1]  # "tol" ends the restart loop
     assert report["tuning_stop_reason"] in ("tol", "stall", "max_iters")
     assert (tmp_path / "xhat.bpr1").exists()
     xh = load_bpr1(tmp_path / "xhat.bpr1")
     assert len(xh) == 16
+
+
+@pytest.mark.parametrize("solver, kind", [("wf", "wf_truncated"), ("altproj", "alt_proj")])
+def test_solve_reports_how_the_restart_rule_ended(tmp_path, capsys, solver, kind):
+    # the report carries each block's and the tuner's restarts used, and the
+    # tuner's iterations, as the pipeline returns them
+    out = tmp_path / "inst"
+    assert run_cli(["gen", "--n", "64", "--k", "2", "--snr", "30",
+                    "--seed", "5", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run_cli(["solve", str(out), "--solver", solver, "--restarts", "3",
+                    "--seed", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    instance, _ = _load_instance(out)
+    _, want = block_pr_solve(instance, SolverSpec(kind, seed=1, restarts=3))
+    assert report["block_restarts_used"] == [r.restarts_used for r in want.per_block_reports]
+    assert report["tuning_iterations"] == want.tuning_report.iterations > 0
+    assert report["tuning_restarts_used"] == want.tuning_report.restarts_used
+    assert 1 <= report["tuning_restarts_used"] < 50
+    assert all(1 <= r <= 3 for r in report["block_restarts_used"])
 
 
 def test_sweep_n_writes_csv(tmp_path):

@@ -460,6 +460,20 @@ def test_phase_tune_beta_one_fails_sometimes():
     assert non_converged >= 1
 
 
+def test_tuner_restarts_agree_at_the_stop_resolution():
+    # on noisy tuning data the tuner's restarts stall on one floor, and they
+    # agree at the stop rule's resolution, 1e-3: 2.15 restarts on average
+    # here. At 1e-6 all but one ran to the 50-restart cap (47.8 on average)
+    cfg = ExperimentConfig(n=512, k="auto", snr_db=30.0, trials=1)
+    used = []
+    for i in range(20):
+        instance, _ = gen_instance(cfg, mix_seed(77, 2, 512, i))
+        _, out = block_pr_solve(instance, SolverSpec("wf_truncated", seed=i))
+        assert out.tuning_report.stop_reason == "stall", i
+        used.append(out.tuning_report.restarts_used)
+    assert np.mean(used) <= 3, used
+
+
 @pytest.mark.parametrize("kind", ["alt_proj", "wf_truncated"])
 def test_phase_tune_rejects_other_solvers(kind):
     # the tuning step is the unit-modulus problem; other solvers only renormalized
