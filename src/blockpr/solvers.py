@@ -35,7 +35,7 @@ after a restart that stopped on "tol", or on "stall" within 1e-3 (relative)
 of the best restart before it. A non-finite residual raises
 :class:`Diverged`; alternating projections carry a NaN or infinite image
 into the residual rather than mapping its phase to 1. The spectral start
-ends its power iteration once the unit iterate stops moving. The report
+ends its Lanczos iteration once its Ritz vector stops moving. The report
 also splits the wall time into starting points, iterations and the Gram
 factorization.
 
@@ -94,36 +94,36 @@ StopReason = Literal["tol", "stall", "max_iters"]
 # residuals _PLATEAU_LAG apart, once more than _PLATEAU_MIN exist, and stalls
 # once the predicted remaining fall is below _STALL_RTOL, relative; restarts
 # whose stalls agree to _STALL_RTOL end the restart loop (_best_restart). The
-# spectral start's power iteration ends once ||v_k - v_{k-1}|| <=
-# _SPECTRAL_STEP_TOL (unit iterates); init_power_iters stays the cap. Per block,
+# spectral start's Lanczos iteration ends once its unit Ritz vector moves by at
+# most _SPECTRAL_STEP_TOL in one step; init_power_iters stays the cap. Per block,
 # against the rule it replaced (a stall once the residual moved by less than
 # _STALL_RTOL over the last 20 iterations, the "window") and the truncated
-# start (weights b_r [b_r <= 9 mean(b)]), on trial seeds mix_seed(S, 2, N, t)
-# with solver seeds block_seed(trial, i):
+# start (weights b_r [b_r <= 9 mean(b)], by power iteration), on trial seeds
+# mix_seed(S, 2, N, t) with solver seeds block_seed(trial, i); a start's
+# products are its product pairs with H and H^H, one per step:
 #
-#   blocks                      start      stop     iters       power  block     wrong
-#                                                   mean / p99  steps  NMSE      (> 0.1)
-#   WF, SNR 30, N = 2048,       truncated  window    48.5 / 76  24.7   1.168e-3   0
-#   96 of 768 x 128 (S = 900)   truncated  predict   24.2 / 31  24.7   1.199e-3   0
-#                               optimal    predict   19.1 / 25  24.0   1.164e-3   0
-#   WF, SNR 30, N = 512, alpha  truncated  window   112.5 / 400 25.6   2.634e-3  14
-#   4, 200 of 512 x 128 (901)   truncated  predict   73.3 / 166 25.6   2.850e-3  25
-#                               optimal    predict   39.6 / 66  31.1   2.744e-3   0
-#   AP, SNR 30, N = 1024,       truncated  window    55.3 / 75  24.7   2.067e-3   0
-#   80 of 768 x 128 (902)       optimal    predict   24.6 / 41  25.0   2.047e-3   0
-#   AP, alpha 4, as WF above    truncated  window   136.1 / 416 25.6   3.970e-3   5
-#                               optimal    predict   56.6 / 95  31.1   3.974e-3   0
-#   WF, noiseless, N = 256,     truncated  window    73.2 / 95  20.4   3.4e-16    1
-#   100 of 384 x 64 (903)       optimal    predict   67.3 / 72  22.1   2.8e-16    0
+#   blocks                      start      stop     iters       start     block     wrong
+#                                                   mean / p99  products  NMSE      (> 0.1)
+#   WF, SNR 30, N = 2048,       truncated  window    48.5 / 76  24.7      1.168e-3   0
+#   96 of 768 x 128 (S = 900)   truncated  predict   24.2 / 31  24.7      1.199e-3   0
+#                               optimal    predict   19.3 / 25  11.8      1.158e-3   0
+#   WF, SNR 30, N = 512, alpha  truncated  window   112.5 / 400 25.6      2.634e-3  14
+#   4, 200 of 512 x 128 (901)   truncated  predict   73.3 / 166 25.6      2.850e-3  25
+#                               optimal    predict   38.6 / 63  14.0      2.718e-3   0
+#   AP, SNR 30, N = 1024,       truncated  window    55.3 / 75  24.7      2.067e-3   0
+#   80 of 768 x 128 (902)       optimal    predict   24.7 / 41  11.9      2.040e-3   0
+#   AP, alpha 4, as WF above    truncated  window   136.1 / 416 25.6      3.970e-3   5
+#                               optimal    predict   55.8 / 84  14.0      3.983e-3   0
+#   WF, noiseless, N = 256,     truncated  window    73.2 / 95  20.4      3.4e-16    1
+#   100 of 384 x 64 (903)       optimal    predict   67.2 / 71  11.1      2.9e-16    0
 #
+# The optimal start takes at most 14 products at alpha 6 and 19 at alpha 4.
 # The noiseless block that the truncated start left wrong stopped on "stall"
 # at residual 0.29; with the optimal start all 100 stop on "tol". The densified
-# N = 512 baseline ran 53 WF iterations after 22 power steps, and now runs 20
-# after 28. With the shift from the Marchenko-Pastur edge of all M rows, not
-# only the negative-weight ones, a start took 28.5 power steps at N = 2048
-# (36.0 at alpha 4) for the same correlation with the signal (median 0.873,
-# minimum 0.821). The predicted stop needs the optimal start: with the
-# truncated one it sends 25 blocks wrong at alpha 4, against 14.
+# N = 512 baseline runs 10 WF iterations after a 16-product start. The
+# predicted stop needs the optimal start: with the truncated one it sends 25
+# blocks wrong at alpha 4, against 14. A spectral tolerance of 3e-2 saves 1.6
+# products per start at N = 2048 (10.2 against 11.8), and 3e-3 costs 1.6.
 #
 # The phase tuner and gaussian-loss WF left the window last. Gaussian-loss WF
 # needed the heavy-ball step (see _WF_MOMENTUM): with plain steps on the
@@ -134,9 +134,7 @@ StopReason = Literal["tol", "stall", "max_iters"]
 # instances per size (trial seeds mix_seed(77, 2, N, i)), the tuner takes 2.1
 # to 2.2 restarts on average (at most 4), and its iterations fall against the
 # window from 44.2 to 24.6 (N = 2048, WF), 42.6 to 18.7 (N = 1024, AP) and 35.5
-# to 15.0 (N = 512, WF), at instance NMSE medians within 0.6%. A spectral
-# tolerance above 1e-2 saved at most 5 power steps per start, while 3e-2 sent
-# the baseline from 93 to 326 WF iterations.
+# to 15.0 (N = 512, WF), at instance NMSE medians within 0.6%.
 _STALL_RTOL = 1e-3
 _PLATEAU_LAG = 4
 _PLATEAU_MIN = 10
@@ -260,6 +258,9 @@ class WFParams:
     when i.i.d. Gaussian noise sits on the intensities and reaches a
     noticeably lower error floor there. The gaussian weighting has a
     stiffer effective curvature; use step_size <= 0.15 with it.
+
+    ``init_power_iters`` keeps its name but caps the Lanczos steps of
+    :func:`spectral_init`, each one product with H and one with H^H.
     """
 
     max_iters: int = 400
@@ -416,30 +417,27 @@ def spectral_init(op: np.ndarray | _LinOp, b: np.ndarray, params: WFParams,
                   seed: int) -> np.ndarray:
     """Spectral starting point from intensity measurements.
 
-    Runs power iterations (from a seeded random start) on the preprocessed
-    covariance D = sum_r T_r h_r h_r^H, with the optimal preprocessing
-    T(y) = 1 - 1/y (Luo, Alghamdi & Lu 2019; Mondelli & Montanari 2017) of
-    y = b_r / mean(b), clipped at -1 (y = 1/2) and divided by M. Its
-    leading eigenvector correlates with the signal far better than that of
+    The leading eigenvector of the preprocessed covariance
+    D = sum_r T_r h_r h_r^H, with the optimal preprocessing T(y) = 1 - 1/y
+    (Luo, Alghamdi & Lu 2019; Mondelli & Montanari 2017) of
+    y = b_r / mean(b), clipped at -1 (y = 1/2) and divided by M. It
+    correlates with the signal far better than the leading eigenvector of
     a truncated weighting (median 0.87 against 0.62 on 768 x 128 blocks at
-    SNR 30). D has negative eigenvalues, so the iteration runs on D + sI.
-    D's negative part is at most -min T times the largest eigenvalue of
-    (1/M) sum_{r : T_r < 0} h_r h_r^H, and s is that with the eigenvalue
-    estimated at the Marchenko-Pastur edge of those M_- rows,
-    1.1 (sqrt(M_-) + sqrt(N))^2 mean(||h_r||^2) / (M N). On a Gaussian block
-    it clears D's least eigenvalue by about half (1.6 against 1.1 on
-    768 x 128 blocks). On another operator it can come out too small; a
-    Rayleigh quotient below zero shows that, and s becomes
-    -min T mean(||h_r||^2), a bound for every operator, since
-    lambda_max(H^H H / M) <= trace(H^H H) / M. After 3 plain steps (and
-    again after that change) each step also subtracts beta times the
-    iterate before, a heavy-ball term with beta = (0.95 lambda)^2 / 4 from
-    the Rayleigh quotient lambda (Xu et al. 2018). The iteration ends once
-    the unit iterate moves by at most 1e-2 in one step, or after
-    ``init_power_iters`` steps. It then scales the unit eigenvector v to
+    SNR 30). D has negative eigenvalues, so the eigenvector of the largest
+    algebraic one is found by the Lanczos iteration (Lanczos 1950; Golub &
+    Van Loan, Matrix Computations, 10.1), from a seeded random start, with
+    one classical Gram-Schmidt pass against the whole basis per step. Each
+    step is one product of D with a vector, that is one product with H and
+    one with H^H. The Ritz pair of the largest eigenvalue of the
+    tridiagonal (LAPACK ``dstev``) is the estimate. The iteration ends once
+    the unit Ritz vector moves by at most 1e-2 in one step (sign aligned),
+    at a breakdown (an invariant subspace, where the Ritz pair is exact;
+    D = 0 ends it after one step), or after min(``init_power_iters``, N)
+    steps. The basis grows with the steps taken: 16 rows, then doubling.
+    It then scales the unit Ritz vector v to
     ||z0|| = sqrt(N * mean(b) / mean(||h_r||^2)) so that ||z0||^2
     estimates the signal energy. The iteration runs in the operator's
-    precision, and z0 has its dtype.
+    precision (the tridiagonal in float64), and z0 has its dtype.
     """
     lin = op if isinstance(op, _LinOp) else _LinOp(_dense(op, "spectral_init"))
     m, n = lin.shape
@@ -453,41 +451,36 @@ def spectral_init(op: np.ndarray | _LinOp, b: np.ndarray, params: WFParams,
     w = np.maximum(b, 0.5 * mean_b)
     np.divide(mean_b, w, out=w)
     np.subtract(1.0, w, out=w)
-    energy = float(np.mean(lin.row_norms**2))  # mean ||h_r||^2
-    bound = max(0.0, -float(w.min())) * energy  # -min T * trace(H^H H) / M
-    negative = int(np.count_nonzero(w < 0))  # M_-
-    shift = 1.1 * bound * (math.sqrt(negative) + math.sqrt(n))**2 / (m * n)
+    energy = float(lin.row_norms @ lin.row_norms) / m  # mean ||h_r||^2
     w /= m
     w = w.astype(lin.real, copy=False)
     v = complex_normal(generator(seed), n).astype(lin.op.dtype, copy=False)
     v /= _norm(v)
-    v_prev, nu = v, 1.0  # the iterate before v is v_prev / nu, to v's scale
-    beta, plain = 0.0, 0
-    for _ in range(params.init_power_iters):
+    cap = min(params.init_power_iters, n)
+    basis = np.empty((min(16, cap), n), dtype=lin.op.dtype)  # rows q_0, q_1, ...
+    gemv = blas.get_blas_funcs("gemv", (basis,))
+    alpha, beta = np.zeros(cap), np.zeros(cap)
+    y = np.zeros(0)  # the unit Ritz vector in coefficient space, one step back
+    for j in range(cap):
+        if j == len(basis):
+            basis = np.concatenate((basis, np.empty_like(basis[:cap - j])))
+        basis[j] = v
+        q = basis[:j + 1].T  # Fortran-ordered, so gemv reads it in place
         u = lin.rmatvec(lin.matvec(v) * w)
-        u += shift * v
-        rho = float(np.vdot(v, u).real)  # the Rayleigh quotient of D + sI
-        if rho < 0:
-            # D + sI has an eigenvalue <= rho < 0, so the estimate was too
-            # small: shift by the bound, and start over with plain steps
-            u += (bound - shift) * v
-            rho += bound - shift
-            shift, beta, plain = bound, 0.0, 0
-        plain += 1
-        if plain == 4:
-            beta = (0.95 * rho)**2 / 4
-        if beta:
-            u -= (beta / nu) * v_prev
-        nu = _norm(u)
-        if nu == 0:
-            # the operator annihilated the iterate; restart direction
-            u = np.ones(n, dtype=lin.op.dtype)
-            nu, beta, plain = _norm(u), 0.0, 0
-        u /= nu
-        v_prev, v = v, u
-        if _norm(v - v_prev) <= _SPECTRAL_STEP_TOL:
+        c = gemv(1.0, q, u, trans=2)  # Q^H u: (0, ..., beta_{j-1}, alpha_j) up to rounding
+        u = gemv(-1.0, q, c, beta=1.0, y=u, overwrite_y=1)  # one classical Gram-Schmidt pass
+        alpha[j], beta[j] = c[j].real, _norm(u)
+        # the largest eigenvalue's unit eigenvector; dstev takes at least one off-diagonal
+        ritz = lapack.dstev(alpha[:j + 1], beta[:max(j, 1)])[1][:, -1]
+        # ||ritz - [y; 0]|| with the sign aligned: both are unit vectors
+        move = math.sqrt(max(0.0, 2 - 2 * abs(float(ritz[:j] @ y))))
+        y = ritz
+        if move <= _SPECTRAL_STEP_TOL or beta[j] == 0:  # beta = 0: the Ritz pair is exact
             break
-    return math.sqrt(n * mean_b / energy) * v
+        u *= 1 / float(beta[j])
+        v = u
+    v = y.astype(basis.dtype) @ basis[:len(y)]  # one dtype, so numpy's BLAS takes it
+    return (math.sqrt(n * mean_b / energy) / _norm(v)) * v
 
 
 class _Run(NamedTuple):

@@ -165,57 +165,69 @@ def test_best_restart_ends_on_tol_or_an_agreeing_stall():
 
 # ---------------------------------------------------------------- spectral init
 
-def test_spectral_init_correlation_monte_carlo(monkeypatch):
-    # one matvec per power iteration; the iteration stops once the iterate
-    # stops moving, typically long before the init_power_iters cap
+def _count_products(monkeypatch) -> list:
+    """A list that gains one entry per ``_LinOp.matvec`` call: one per spectral step."""
     matvec = solvers._LinOp.matvec
     calls = []
     monkeypatch.setattr(solvers._LinOp, "matvec",
                         lambda self, z: calls.append(1) or matvec(self, z))
+    return calls
+
+
+def test_spectral_init_correlation_monte_carlo(monkeypatch):
+    # one product pair per Lanczos step; the iteration stops once the Ritz
+    # vector stops moving, typically long before the init_power_iters cap
+    calls = _count_products(monkeypatch)
     hits = 0
-    power_iters = []
+    steps = []
     for t in range(100):
         inst, x = gaussian_instance(mix_seed(800, t), 64, 384)
         calls.clear()
         z0 = spectral_init(inst.operator, inst.measurements, WFParams(), seed=t)
-        power_iters.append(len(calls))
+        steps.append(len(calls))
         hits += correlation(z0, x) >= 0.5
     assert hits >= 95
-    assert max(power_iters) <= WFParams().init_power_iters
-    assert np.median(power_iters) < WFParams().init_power_iters / 2
+    assert max(steps) <= WFParams().init_power_iters
+    assert np.median(steps) < WFParams().init_power_iters / 2
 
 
-def test_spectral_init_correlation_floor_on_table1_blocks():
+def test_spectral_init_correlation_floor_on_table1_blocks(monkeypatch):
     # the 96 complex64 768 x 128 blocks of six N = 2048 SNR-30 instances, each
     # started as wf_solve's restart 0 starts it in the pipeline. The optimal
     # preprocessing read a minimum of 0.82 (median 0.87); the truncated
-    # weighting b_r [b_r <= 9 mean(b)] read 0.455 (median 0.62)
+    # weighting b_r [b_r <= 9 mean(b)] read 0.455 (median 0.62). Lanczos took
+    # 11.8 products per start on average (at most 14); the shifted heavy-ball
+    # power iteration before it took 24.0 (at most 35)
     from blockpr.bench import ExperimentConfig, gen_instance
     from blockpr.pipeline import block_seed
 
-    cors = []
+    calls = _count_products(monkeypatch)
+    cors, products = [], []
     for t in range(6):
         trial = mix_seed(900, 2, 2048, t)
         inst, x = gen_instance(ExperimentConfig(n=2048, snr_db=30.0), trial)
         r0 = c0 = 0
         for i, h in enumerate(inst.base.operator.blocks):
             m, n = h.shape
+            calls.clear()
             z0 = spectral_init(h, inst.base.measurements[r0:r0 + m], WFParams(),
                                mix_seed(block_seed(trial, i), 0))
+            products.append(len(calls))
             cors.append(correlation(z0, x[c0:c0 + n]))
             r0, c0 = r0 + m, c0 + n
     assert len(cors) == 96
     assert min(cors) >= 0.75
+    assert np.mean(products) <= 16 and max(products) <= 24
 
 
-def test_spectral_init_shift_holds_off_a_non_marchenko_pastur_spectrum():
+def test_spectral_init_finds_the_top_eigenvector_of_a_non_marchenko_pastur_spectrum():
     # one column 30x heavier than the rest, and a signal that does not touch
     # it: that column's direction is an eigenvector of D with eigenvalue near
-    # -300, beyond the Marchenko-Pastur shift (about 90) and far larger in
-    # modulus than the top one (about 0.3), so an unguarded iteration
-    # converged to it (correlation 1.0 on every draw here). A negative
-    # Rayleigh quotient lifts the shift to the bound that holds for every
-    # operator, under which that direction dies out
+    # -300, far larger in modulus than the top one (about 0.3), so a power
+    # iteration without a shift converged to it (correlation 1.0 on every
+    # draw here), and the shifted one it replaced, held off that direction,
+    # reached only 0.14-0.41 with the top eigenvector. Lanczos targets the
+    # largest algebraic eigenvalue, whatever lies below it
     for seed in range(5):
         rng = generator(seed)
         m, n = 96, 16
@@ -229,6 +241,40 @@ def test_spectral_init_shift_holds_off_a_non_marchenko_pastur_spectrum():
         assert lam[0] < -100 * lam[-1] < 0
         z0 = spectral_init(h, b, WFParams(), seed=seed)
         assert correlation(z0, vecs[:, 0]) <= 0.1, seed
+        assert correlation(z0, vecs[:, -1]) >= 0.99, seed
+        assert correlation(z0, x) >= 0.7, seed
+
+
+def test_spectral_init_constant_measurements_stop_after_one_product(monkeypatch):
+    # equal intensities weight every row by T(1) = 0, so D = 0: the first
+    # step breaks down (beta = 0), and the start is the random unit vector at
+    # the documented scale sqrt(N mean(b) / mean ||h_r||^2)
+    calls = _count_products(monkeypatch)
+    h = complex_normal(generator(63), (48, 8))
+    z0 = spectral_init(h, np.full(48, 3.0), WFParams(), seed=2)
+    assert len(calls) == 1
+    assert np.all(np.isfinite(z0))
+    energy = np.mean(np.linalg.norm(h, axis=1)**2)
+    assert np.linalg.norm(z0) == pytest.approx(math.sqrt(8 * 3.0 / energy), rel=1e-12)
+
+
+def test_spectral_init_on_the_dense_baseline_holds_a_small_basis(traced_peak):
+    # the benchmark's densified N = 512 baseline (3072 x 512 complex64),
+    # started as its wf_solve's restart 0. The Lanczos basis grows with the
+    # steps taken (16 rows, then doubling): this start takes 16 steps and
+    # peaks at 170-174 KB, of which the basis is 64 KB; a basis allocated to
+    # the 100-step cap read 509 KB
+    from blockpr.bench import ExperimentConfig, gen_instance
+    from blockpr.pipeline import block_seed
+
+    trial = mix_seed(0, 2, 512, 0)
+    inst, _ = gen_instance(ExperimentConfig(n=512, snr_db=30.0), trial)
+    dense = inst.base.operator.to_dense()
+    b = inst.base.measurements
+    z0, peak = traced_peak(
+        lambda: spectral_init(dense, b, WFParams(), mix_seed(block_seed(trial, 0), 0)))
+    assert z0.dtype == np.complex64
+    assert peak <= 200 * 1024
 
 
 def test_spectral_init_zero_measurements():
@@ -489,12 +535,9 @@ def test_pinv_factor_makes_one_complex128_copy(block64_snr30, traced_peak):
 
 
 def test_spectral_init_complex64_block_stops_before_the_cap(block64_snr30, monkeypatch):
-    # the step tolerance, not init_power_iters, ends the power iteration on
-    # a Table-1 block (768 x 128, complex64, SNR 30)
-    matvec = solvers._LinOp.matvec
-    calls = []
-    monkeypatch.setattr(solvers._LinOp, "matvec",
-                        lambda self, z: calls.append(1) or matvec(self, z))
+    # the Ritz-vector tolerance, not init_power_iters, ends the Lanczos
+    # iteration on a Table-1 block (768 x 128, complex64, SNR 30)
+    calls = _count_products(monkeypatch)
     for seed in range(3):
         calls.clear()
         spectral_init(block64_snr30.operator, block64_snr30.measurements, WFParams(), seed)
